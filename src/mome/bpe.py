@@ -25,14 +25,14 @@ magic, version, every extent, and the total byte count.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numcore as nc
 from .attention import AttentionParams, self_attention
 from .errors import ConfigError, DataError, FormatError
-from .experts import MoMELayer, RoutingRecord, mome_forward
+from .experts import MoMELayer, RoutingRecord, mome_forward, parse_expert_spec
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"MOMEMODL"
@@ -67,36 +67,68 @@ class GenomicGroups:
         return tuple(len(v) for v in self.values)
 
 
+def setting(default, help: str, **cli):
+    """A user-settable dataclass field.
+
+    ``help`` and the optional command-line hints travel in the field
+    metadata: ``flag`` (when it is not ``--`` plus the field name),
+    ``choices``, ``parse`` (text to value, for non-scalar fields) and
+    ``shown`` (the default as the help text prints it). A bool field's
+    flag is a switch that sets the opposite of its default.
+    """
+    return field(default=default, metadata=dict(help=help, **cli))
+
+
 @dataclass
-class ModelConfig:
-    d: int = 64
-    rounds: int = 2
-    n_b: int = 2
-    head_count: int = 1
-    time_bins: int = 4
-    enable_mask: tuple[bool, bool, bool, bool] = (True, True, True, True)
-    first_encoded: str = "pathology"
-    seed: int = 0
-    d_in: int = 64
-    group_sizes: tuple[int, ...] = (16,) * N_GROUPS
-    dropout_rate: float = 0.25
-    scale_by_gate_prob: bool = True
+class ModelSettings:
+    """The model fields a user sets; ``ModelConfig`` and the training
+    ``RunConfig`` both extend it, and the ``train`` flags and config-file
+    keys are generated from the field metadata."""
+
+    d: int = setting(64, "shared embedding width", flag="--dim")
+    rounds: int = setting(2, "alternating encoding rounds")
+    n_b: int = setting(2, "bottleneck token count", flag="--nb")
+    head_count: int = setting(1, "attention heads", flag="--heads")
+    time_bins: int = setting(4, "discrete time bins", flag="--bins")
+    enable_mask: tuple[bool, bool, bool, bool] = setting(
+        (True, True, True, True), "comma list of enabled experts: tf,btf,snn,df",
+        flag="--experts", parse=parse_expert_spec, shown="all",
+    )
+    first_encoded: str = setting("pathology", "modality encoded first each round",
+                                 choices=FIRST_ENCODED_CHOICES)
+    # The run seed in a RunConfig; in a ModelConfig, the init seed derived from it.
+    seed: int = setting(0, "run seed (falls back to MOME_SEED, then 0)",
+                        shown="MOME_SEED or 0")
+    dropout_rate: float = setting(0.25, "alpha-dropout rate inside the SNN expert",
+                                  flag="--dropout")
+    scale_by_gate_prob: bool = setting(
+        True, "do not scale expert outputs by the gate probability", flag="--no-prob-scaling"
+    )
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ConfigError("at least one encoding round is required")
         if self.time_bins < 2:
             raise ConfigError("at least two time bins are required")
-        if self.d < 1 or self.d % self.head_count:
+        if self.d < 1 or self.head_count < 1 or self.d % self.head_count:
             raise ConfigError(f"width {self.d} not divisible into {self.head_count} heads")
         if self.n_b < 1:
             raise ConfigError("bottleneck needs at least one token")
         if self.first_encoded not in FIRST_ENCODED_CHOICES:
             raise ConfigError(f"first_encoded must be one of {FIRST_ENCODED_CHOICES}")
-        if len(self.group_sizes) != N_GROUPS:
-            raise ConfigError(f"expected {N_GROUPS} group sizes")
         if not any(self.enable_mask):
             raise ConfigError("at least one expert must be enabled")
+
+
+@dataclass
+class ModelConfig(ModelSettings):
+    d_in: int = 64
+    group_sizes: tuple[int, ...] = (16,) * N_GROUPS
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.group_sizes) != N_GROUPS:
+            raise ConfigError(f"expected {N_GROUPS} group sizes")
 
     @property
     def layer_count(self) -> int:

@@ -1,9 +1,12 @@
 """Command-line entry points: gen-data, train, eval, gradcheck, route-stats.
 
-Configuration precedence is flags over config file over defaults; the
-config file is plain ``key=value`` lines (``#`` comments allowed) using
-the flag names with underscores. The environment variable ``MOME_SEED``
-is the seed fallback when neither a flag nor the config file sets one.
+Configuration precedence is flags over config file over defaults. The
+``train`` flags and the config-file keys are both generated from the
+``RunConfig`` fields. The config file is plain ``key=value`` lines
+(``#`` comments allowed); a key is a field name or its flag name with
+underscores, and an unknown key or a bad value is a configuration error.
+The environment variable ``MOME_SEED`` is the seed fallback when neither
+a flag nor the config file sets one.
 
 Exit codes: 0 success, 1 validation or tolerance failure, 2 usage or
 configuration error, 3 data or file-format error.
@@ -14,12 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import Field, fields
+from typing import get_type_hints
 
 from . import numcore as nc
 from .bpe import load_checkpoint
 from .data import synthesize_cohort
 from .errors import ConfigError, DataError, MetricError, MomeError, NumericError, UsageError
-from .experts import EXPERT_ABBREVIATIONS, ROUTING_LOG_HEADER, ExpertId, format_routing_record
+from .experts import ROUTING_LOG_HEADER, ExpertId, format_routing_record
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .training import (
     METRICS_HEADER,
@@ -38,25 +43,72 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _parse_experts(spec: str) -> tuple[bool, bool, bool, bool]:
-    """Comma-separated expert abbreviations, e.g. 'tf,snn' or 'all'."""
-    if spec.strip().lower() == "all":
-        return (True, True, True, True)
-    mask = [False] * 4
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if token not in EXPERT_ABBREVIATIONS:
-            raise ConfigError(
-                f"unknown expert '{token}' (choose from {sorted(EXPERT_ABBREVIATIONS)})"
-            )
-        mask[int(EXPERT_ABBREVIATIONS[token])] = True
-    if not any(mask):
-        raise ConfigError("at least one expert must be enabled")
-    return tuple(mask)
+_TRAIN_FIELDS = fields(RunConfig)
+_TYPES = get_type_hints(RunConfig)
+_BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _flag(f: Field) -> str:
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _resolve_seed(seed: int | None) -> int:
+    """An explicit seed, else ``MOME_SEED``, else 0."""
+    if seed is not None:
+        return seed
+    raw = os.environ.get("MOME_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"MOME_SEED must be an integer, got '{raw}'")
+
+
+def _add_train_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field, built from the field metadata."""
+    for f in _TRAIN_FIELDS:
+        help_text = f.metadata["help"]
+        if _TYPES[f.name] is bool:
+            parser.add_argument(_flag(f), dest=f.name, action="store_const",
+                                const=not f.default, default=argparse.SUPPRESS, help=help_text)
+            continue
+        shown = f.metadata.get("shown", f.default)
+        parser.add_argument(_flag(f), dest=f.name, type=f.metadata.get("parse", _TYPES[f.name]),
+                            choices=f.metadata.get("choices"), default=argparse.SUPPRESS,
+                            help=f"{help_text} (default: {shown})")
+    parser.add_argument("--config", help="key=value config file (flags override it)")
+
+
+def _config_value(f: Field, text: str, switch: bool):
+    """Convert one config-file value; ``switch`` marks a bool key spelled as its flag."""
+    kind = _TYPES[f.name]
+    if kind is bool:
+        if text.lower() not in _BOOL_SPELLINGS:
+            raise ConfigError(f"expected one of {'/'.join(_BOOL_SPELLINGS)}, got '{text}'")
+        on = _BOOL_SPELLINGS[text.lower()]
+        return (not f.default if on else f.default) if switch else on
+    if "parse" in f.metadata:
+        return f.metadata["parse"](text)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"expected {kind.__name__}, got '{text}'")
+    choices = f.metadata.get("choices")
+    if choices and value not in choices:
+        raise ConfigError(f"expected one of {choices}, got '{text}'")
+    return value
+
+
+def _read_config_file(path: str) -> dict[str, object]:
+    """RunConfig field values from ``key=value`` lines.
+
+    A key is a field name or its flag without the dashes (``n_b`` or
+    ``nb``); dashes and underscores are interchangeable.
+    """
+    keys: dict[str, tuple[Field, bool]] = {}
+    for f in _TRAIN_FIELDS:
+        keys[_flag(f).lstrip("-").replace("-", "_")] = (f, _TYPES[f.name] is bool)
+        keys[f.name] = (f, False)
+    values: dict[str, object] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -65,105 +117,26 @@ def _read_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
-                key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
+                key, text = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+                f, switch = keys[key]
+                try:
+                    values[f.name] = _config_value(f, text, switch)
+                except ConfigError as err:
+                    raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}")
     return values
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("MOME_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"MOME_SEED must be an integer, got '{raw}'")
-
-
-_TRAIN_DEFAULTS = RunConfig()
-
-# (flag, config key, type, default, help)
-_TRAIN_OPTIONS = [
-    ("--epochs", "epochs", int, _TRAIN_DEFAULTS.epochs, "training epochs per fold"),
-    ("--lr", "lr", float, _TRAIN_DEFAULTS.lr, "Adam learning rate"),
-    ("--weight-decay", "weight_decay", float, _TRAIN_DEFAULTS.weight_decay,
-     "L2 weight decay folded into the gradient"),
-    ("--folds", "folds", int, _TRAIN_DEFAULTS.folds,
-     "fold count when the manifest has no assignment"),
-    ("--key-chunk", "key_chunk", int, _TRAIN_DEFAULTS.key_chunk,
-     "streaming attention key-block size"),
-    ("--dim", "d", int, _TRAIN_DEFAULTS.d, "shared embedding width"),
-    ("--rounds", "rounds", int, _TRAIN_DEFAULTS.rounds, "alternating encoding rounds"),
-    ("--nb", "n_b", int, _TRAIN_DEFAULTS.n_b, "bottleneck token count"),
-    ("--heads", "head_count", int, _TRAIN_DEFAULTS.head_count, "attention heads"),
-    ("--bins", "time_bins", int, _TRAIN_DEFAULTS.time_bins, "discrete time bins"),
-    ("--dropout", "dropout_rate", float, _TRAIN_DEFAULTS.dropout_rate,
-     "alpha-dropout rate inside the SNN expert"),
-    ("--grad-accum", "grad_accum", int, _TRAIN_DEFAULTS.grad_accum,
-     "samples accumulated per optimizer step"),
-    ("--seed", "seed", int, None, "run seed (falls back to MOME_SEED, then 0)"),
-]
-
-
-def _add_train_options(parser: argparse.ArgumentParser) -> None:
-    for flag, key, typ, default, help_text in _TRAIN_OPTIONS:
-        shown = "MOME_SEED or 0" if default is None else default
-        parser.add_argument(flag, dest=key, type=typ, default=argparse.SUPPRESS,
-                            help=f"{help_text} (default: {shown})")
-    parser.add_argument("--experts", default=argparse.SUPPRESS,
-                        help="comma list of enabled experts: tf,btf,snn,df (default: all)")
-    parser.add_argument("--first-encoded", choices=("pathology", "genomics"),
-                        default=argparse.SUPPRESS,
-                        help="modality encoded first each round (default: pathology)")
-    parser.add_argument("--risk-mode", choices=("neg_survival_sum", "hazard_sum"),
-                        default=argparse.SUPPRESS,
-                        help="risk scalar reduction (default: neg_survival_sum)")
-    parser.add_argument("--no-prob-scaling", action="store_true", default=argparse.SUPPRESS,
-                        help="do not scale expert outputs by the gate probability")
-    parser.add_argument("--decoupled-wd", action="store_true", default=argparse.SUPPRESS,
-                        help="decoupled weight decay instead of L2-coupled")
-    parser.add_argument("--config", help="key=value config file (flags override it)")
-
-
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < explicit flags into a RunConfig."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged: dict[str, object] = {}
-    for flag, key, typ, _default, _help in _TRAIN_OPTIONS:
-        flag_name = flag.lstrip("-").replace("-", "_")
-        for spelling in (key, flag_name):
-            if spelling in file_values:
-                merged[key] = typ(file_values[spelling])
-    for key, caster in (
-        ("experts", str), ("first_encoded", str), ("risk_mode", str),
-        ("no_prob_scaling", lambda v: v.lower() in ("1", "true", "yes")),
-        ("decoupled_wd", lambda v: v.lower() in ("1", "true", "yes")),
-    ):
-        if key in file_values:
-            merged[key] = caster(file_values[key])
-    for key, value in vars(args).items():
-        if key in ("command", "manifest", "out", "config", "checkpoint", "metrics", "func"):
-            continue
-        merged[key] = value
-
-    run = RunConfig()
-    if merged.get("seed") is None:
-        env = _env_seed()
-        merged["seed"] = env if env is not None else run.seed
-    for key in ("epochs", "lr", "weight_decay", "folds", "key_chunk", "d", "rounds",
-                "n_b", "head_count", "time_bins", "dropout_rate", "grad_accum", "seed",
-                "first_encoded", "risk_mode"):
-        if key in merged and merged[key] is not None:
-            setattr(run, key, merged[key])
-    if "experts" in merged:
-        run.enable_mask = _parse_experts(str(merged["experts"]))
-    if merged.get("no_prob_scaling"):
-        run.scale_by_gate_prob = False
-    if merged.get("decoupled_wd"):
-        run.decoupled_decay = True
-    return run
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in _TRAIN_FIELDS if f.name in args)
+    values["seed"] = _resolve_seed(values.get("seed"))
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +145,13 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        env = _env_seed()
-        seed = env if env is not None else 0
     manifest = synthesize_cohort(
         n_samples=args.n,
         n_patches=args.patches,
         dim=args.dim,
         signal=args.signal,
         censor_rate=args.censor_rate,
-        seed=seed,
+        seed=_resolve_seed(args.seed),
         out_dir=args.out,
         folds=args.folds,
     )
@@ -253,7 +222,8 @@ def cmd_route_stats(args: argparse.Namespace) -> int:
     names = [e.name.lower() for e in ExpertId]
     print("layer," + ",".join(names))
     for layer, counts in enumerate(stats.histogram):
-        assert int(counts.sum()) == n
+        if int(counts.sum()) != n:
+            raise MetricError(f"layer {layer} routed {int(counts.sum())} samples, cohort has {n}")
         print(f"{layer}," + ",".join(str(int(c)) for c in counts))
     print(f"sample_level_diversity={'yes' if stats.sample_level_diversity else 'no'}")
     print(f"layer_level_diversity={'yes' if stats.layer_level_diversity else 'no'}")

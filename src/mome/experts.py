@@ -47,6 +47,21 @@ EXPERT_ABBREVIATIONS = {
 }
 
 
+def parse_expert_spec(spec: str) -> tuple[bool, bool, bool, bool]:
+    """Enable mask from comma-separated abbreviations, e.g. 'tf,snn' or 'all'."""
+    if spec.strip().lower() == "all":
+        return (True,) * EXPERT_COUNT
+    mask = [False] * EXPERT_COUNT
+    for token in spec.split(","):
+        token = token.strip().lower()
+        if token not in EXPERT_ABBREVIATIONS:
+            raise ConfigError(
+                f"unknown expert '{token}' (choose from {sorted(EXPERT_ABBREVIATIONS)})"
+            )
+        mask[int(EXPERT_ABBREVIATIONS[token])] = True
+    return tuple(mask)
+
+
 def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     bound = 1.0 / np.sqrt(shape[0])
     return rng.uniform(-bound, bound, size=shape)

@@ -58,7 +58,7 @@ def no_grad():
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite result produced by '{op}'")
 
 
@@ -249,18 +249,6 @@ def matmul(a, b) -> Tensor:
     return graph_op(out, (a, b), backward, "matmul")
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, g.T)
-
-    return graph_op(a.data.T.copy(), (a,), backward, "transpose")
-
-
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape).copy()
@@ -337,7 +325,7 @@ def mean_rows(a, keepdims: bool = True) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"mean_rows needs a rank-2 bag, got {a.shape}")
     n = a.data.shape[0]
-    pooled = np.array([math.fsum(col) for col in a.data.T]) / n
+    pooled = np.array([math.fsum(col) for col in a.data.T.tolist()]) / n
     if keepdims:
         pooled = pooled.reshape(1, -1)
 
@@ -561,7 +549,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 1e-5
-    decoupled_decay: bool = False
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -574,9 +561,8 @@ def adam_step(
 ) -> AdamState:
     """One Adam update with bias correction, in place on ``params``.
 
-    Weight decay defaults to the coupled convention (an L2 term added to
-    the gradient before the moment updates); set ``decoupled_decay`` for
-    the decoupled variant. Parameters whose gradient is None are skipped.
+    Weight decay is coupled: an L2 term added to the gradient before the
+    moment updates. Parameters whose gradient is None are skipped.
     """
     if state.lr <= 0:
         raise ConfigError("Adam learning rate must be positive")
@@ -595,15 +581,13 @@ def adam_step(
             continue
         if g.shape != p.data.shape:
             raise UsageError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        if state.weight_decay and not state.decoupled_decay:
+        if state.weight_decay:
             g = g + state.weight_decay * p.data
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay and state.decoupled_decay:
-            update = update + state.lr * state.weight_decay * p.data
         p.data -= update
     return state
 

@@ -89,26 +89,9 @@ def nll_loss(curve: HazardCurve, target: SurvivalTarget) -> Tensor:
     return nc.add(prior, event)
 
 
-def risk_score(curve: HazardCurve, mode: str = "neg_survival_sum") -> float:
-    """Reduce a hazard curve to one scalar; higher means worse prognosis."""
-    if mode == "neg_survival_sum":
-        return -float(np.sum(curve.survival_values))
-    if mode == "hazard_sum":
-        return float(np.sum(curve.hazard_values))
-    raise DataError(f"unknown risk mode '{mode}'")
-
-
-def _comparable(ti, ei, tj, ej) -> bool:
-    """Is sample i the event end of a comparable pair against sample j?
-
-    Comparable when i's event time is strictly earlier, or when the times
-    tie and exactly i is an event (j outlived the event).
-    """
-    if not ei:
-        return False
-    if ti < tj:
-        return True
-    return ti == tj and not ej
+def risk_score(curve: HazardCurve) -> float:
+    """Reduce a hazard curve to one scalar, -sum s(t); higher means worse prognosis."""
+    return -float(np.sum(curve.survival_values))
 
 
 def c_index(risks, targets) -> float:

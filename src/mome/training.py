@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import numcore as nc
-from .bpe import ModelConfig, MoMEModel, save_checkpoint
+from .bpe import ModelConfig, ModelSettings, MoMEModel, save_checkpoint, setting
 from .data import (
     ManifestRow,
     discretize_times,
@@ -29,7 +29,7 @@ from .data import (
     read_manifest,
     resolve_path,
 )
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .experts import EXPERT_COUNT, RoutingRecord
 from .numcore import Adam, rng_stream
 from .survival import SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score
@@ -50,27 +50,20 @@ def derive_seed(base: int, *parts: int) -> int:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelSettings):
     """Model plus protocol settings; the defaults are the shipped protocol."""
 
-    d: int = 64
-    rounds: int = 2
-    n_b: int = 2
-    head_count: int = 1
-    time_bins: int = 4
-    enable_mask: tuple[bool, bool, bool, bool] = (True, True, True, True)
-    first_encoded: str = "pathology"
-    seed: int = 0
-    dropout_rate: float = 0.25
-    scale_by_gate_prob: bool = True
-    epochs: int = 20
-    lr: float = 2e-4
-    weight_decay: float = 1e-5
-    decoupled_decay: bool = False
-    folds: int = 5
-    key_chunk: int = 4096
-    grad_accum: int = 1
-    risk_mode: str = "neg_survival_sum"
+    epochs: int = setting(20, "training epochs per fold")
+    lr: float = setting(2e-4, "Adam learning rate")
+    weight_decay: float = setting(1e-5, "L2 weight decay folded into the gradient")
+    folds: int = setting(5, "fold count when the manifest has no assignment")
+    key_chunk: int = setting(4096, "streaming attention key-block size")
+    grad_accum: int = setting(1, "samples accumulated per optimizer step")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.grad_accum < 1:
+            raise ConfigError(f"grad_accum must be at least 1, got {self.grad_accum}")
 
 
 @dataclass
@@ -129,20 +122,9 @@ def load_cohort(manifest_path, time_bins: int) -> CohortData:
 
 
 def model_config_for(run: RunConfig, cohort: CohortData, fold: int) -> ModelConfig:
-    return ModelConfig(
-        d=run.d,
-        rounds=run.rounds,
-        n_b=run.n_b,
-        head_count=run.head_count,
-        time_bins=run.time_bins,
-        enable_mask=run.enable_mask,
-        first_encoded=run.first_encoded,
-        seed=derive_seed(run.seed, fold, 101),
-        d_in=cohort.d_in,
-        group_sizes=cohort.group_sizes,
-        dropout_rate=run.dropout_rate,
-        scale_by_gate_prob=run.scale_by_gate_prob,
-    )
+    shared = {f.name: getattr(run, f.name) for f in fields(ModelSettings)}
+    shared["seed"] = derive_seed(run.seed, fold, 101)
+    return ModelConfig(**shared, d_in=cohort.d_in, group_sizes=cohort.group_sizes)
 
 
 class TrainingAbort(RuntimeError):
@@ -157,7 +139,6 @@ def evaluate(
     model: MoMEModel,
     cohort: CohortData,
     indices: list[int],
-    risk_mode: str = "neg_survival_sum",
     key_chunk: int | None = None,
     routing_log: list[RoutingRecord] | None = None,
 ) -> tuple[float, float, list[float]]:
@@ -174,7 +155,7 @@ def evaluate(
         )
         curve = hazards_from_logits(logits)
         losses.append(nll_loss(curve, cohort.targets[i]).item())
-        risks.append(risk_score(curve, risk_mode))
+        risks.append(risk_score(curve))
     score = c_index(risks, [cohort.targets[i] for i in indices])
     return float(np.mean(losses)), score, risks
 
@@ -208,12 +189,7 @@ def train_fold(
         raise DataError(f"fold {fold} leaves an empty train or validation split")
 
     model = MoMEModel(model_config_for(run, cohort, fold))
-    optimizer = Adam(
-        [t for _, t in model.parameters()],
-        lr=run.lr,
-        weight_decay=run.weight_decay,
-        decoupled_decay=run.decoupled_decay,
-    )
+    optimizer = Adam([t for _, t in model.parameters()], lr=run.lr, weight_decay=run.weight_decay)
 
     best = FoldResult(fold=fold, best_epoch=-1, best_c_index=-np.inf, checkpoint_path="")
     best_params: list[np.ndarray] | None = None
@@ -240,7 +216,7 @@ def train_fold(
             except NumericError as err:
                 raise TrainingAbort(cohort.rows[i].sample_id, err)
             epoch_losses.append(loss.item())
-            epoch_risks[i] = risk_score(curve, run.risk_mode)
+            epoch_risks[i] = risk_score(curve)
             pending += 1
             if pending == run.grad_accum or step == len(order) - 1:
                 optimizer.step()
@@ -259,7 +235,7 @@ def train_fold(
         if emit:
             emit(train_record)
         with nc.no_grad():
-            val_loss, val_c, _ = evaluate(model, cohort, val_idx, run.risk_mode, run.key_chunk)
+            val_loss, val_c, _ = evaluate(model, cohort, val_idx, key_chunk=run.key_chunk)
         if emit:
             emit(
                 MetricsRecord(

@@ -275,6 +275,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(d=6, head_count=4)
 
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ConfigError):
+            small_config(head_count=0)
+
     def test_single_time_bin_rejected(self):
         with pytest.raises(ConfigError):
             small_config(time_bins=1)

@@ -1,10 +1,12 @@
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import mome.cli as cli
 from mome.data import read_manifest, synthesize_cohort
-from mome.training import FoldResult, TrainSummary, TrainingAbort
+from mome.training import FoldResult, RunConfig, TrainSummary, TrainingAbort
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,100 @@ class TestTrainCommand:
         assert code == 3
 
 
+@pytest.fixture
+def train_runs(cohort_dir, tmp_path, monkeypatch):
+    """Run ``train`` with training stubbed out; returns the RunConfig or exit code."""
+    manifest = str(cohort_dir / "manifest.csv")
+    runs = []
+
+    def fake_train(run, manifest_path, out_dir, emit=None):
+        runs.append(run)
+        return TrainSummary([FoldResult(0, 0, 0.5, "x")], 0.5, 0.0, [])
+
+    def train(*flags, config=None):
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "o"), *flags]
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        runs.clear()
+        code = run_cli(*argv)
+        return runs[0] if code == 0 else code
+
+    monkeypatch.setattr(cli, "train_cohort", fake_train)
+    return train
+
+
+# RunConfig field -> (flag argv, its value, config line, its value). Every field
+# needs a row, and the two values differ so that flag-over-file shows. A field
+# with two values (the bool switch, first_encoded) gets one non-default value
+# from its flag or from its config line, and the default from the other.
+FIELD_SETTINGS = {
+    "d": (["--dim", "16"], 16, "d=32", 32),
+    "rounds": (["--rounds", "3"], 3, "rounds=4", 4),
+    "n_b": (["--nb", "3"], 3, "n_b=4", 4),
+    "head_count": (["--heads", "2"], 2, "head_count=4", 4),
+    "time_bins": (["--bins", "5"], 5, "time_bins=6", 6),
+    "enable_mask": (["--experts", "tf"], (True, False, False, False),
+                    "enable_mask=snn,df", (False, False, True, True)),
+    "first_encoded": (["--first-encoded", "pathology"], "pathology",
+                      "first_encoded=genomics", "genomics"),
+    "seed": (["--seed", "5"], 5, "seed=6", 6),
+    "dropout_rate": (["--dropout", "0.5"], 0.5, "dropout_rate=0.1", 0.1),
+    "scale_by_gate_prob": (["--no-prob-scaling"], False, "scale_by_gate_prob=true", True),
+    "epochs": (["--epochs", "3"], 3, "epochs=4", 4),
+    "lr": (["--lr", "0.5"], 0.5, "lr=0.25", 0.25),
+    "weight_decay": (["--weight-decay", "0.5"], 0.5, "weight_decay=0.25", 0.25),
+    "folds": (["--folds", "3"], 3, "folds=4", 4),
+    "key_chunk": (["--key-chunk", "16"], 16, "key_chunk=32", 32),
+    "grad_accum": (["--grad-accum", "2"], 2, "grad_accum=3", 3),
+}
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_field_set_by_flag_and_config_key_flag_wins(self, train_runs, field):
+        flag, flag_value, line, file_value = FIELD_SETTINGS[field.name]
+        assert flag_value != file_value
+        assert getattr(train_runs(*flag), field.name) == flag_value
+        assert getattr(train_runs(config=line), field.name) == file_value
+        assert getattr(train_runs(*flag, config=line), field.name) == flag_value
+
+    @pytest.mark.parametrize("line, name, value", [
+        ("dim=16", "d", 16),
+        ("heads=2", "head_count", 2),
+        ("bins=5", "time_bins", 5),
+        ("dropout=0.5", "dropout_rate", 0.5),
+        ("experts=btf", "enable_mask", (False, True, False, False)),
+        ("weight-decay=0.5", "weight_decay", 0.5),
+        ("no_prob_scaling=yes", "scale_by_gate_prob", False),
+        ("no_prob_scaling=0", "scale_by_gate_prob", True),
+        ("scale_by_gate_prob=No", "scale_by_gate_prob", False),
+        ("scale_by_gate_prob=1", "scale_by_gate_prob", True),
+    ])
+    def test_flag_spellings_and_bool_words_as_keys(self, train_runs, line, name, value):
+        assert getattr(train_runs(config=line), name) == value
+
+    def test_bad_value_names_file_line_and_key(self, train_runs, tmp_path, capsys):
+        assert train_runs(config="lr=0.1\nepochs=abc\n") == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'run.cfg'}:2" in err and "'epochs'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["epoch=1", "risk_mode=hazard_sum", "decoupled_wd=1"])
+    def test_unknown_key_rejected(self, train_runs, capsys, line):
+        assert train_runs(config=line) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["no_prob_scaling=ture", "scale_by_gate_prob=2"])
+    def test_bad_bool_rejected(self, train_runs, line):
+        assert train_runs(config=line) == 2
+
+    @pytest.mark.parametrize("line", ["first_encoded=sideways", "experts=tf,xx"])
+    def test_bad_choice_rejected_before_training(self, train_runs, line):
+        assert train_runs(config=line) == 2  # the stubbed training never ran
+
+
 @pytest.fixture(scope="module")
 def trained(cohort_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -175,6 +271,21 @@ class TestEvalAndRouteStats:
         log_lines = log_path.read_text().splitlines()
         assert log_lines[0] == "layer,sample_id,expert,logit0,logit1,logit2,logit3"
         assert len(log_lines) == 1 + 20 * 4
+
+    def test_route_stats_count_mismatch_is_metric_error(self, cohort_dir, trained,
+                                                        monkeypatch, capsys):
+        real = cli.routing_statistics
+
+        def short_by_one(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            stats.histogram[1, np.argmax(stats.histogram[1])] -= 1
+            return stats
+
+        monkeypatch.setattr(cli, "routing_statistics", short_by_one)
+        code = run_cli("route-stats", "--checkpoint", str(trained / "fold0.ckpt"),
+                       "--manifest", str(cohort_dir / "manifest.csv"))
+        assert code == 3
+        assert "layer 1 routed 19 samples, cohort has 20" in capsys.readouterr().err
 
     def test_checkpoint_manifest_mismatch(self, cohort_dir, trained, tmp_path):
         other = tmp_path / "other"

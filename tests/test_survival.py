@@ -151,10 +151,6 @@ class TestRiskScore:
             bumped[i] += 0.05
             assert risk_score(curve_from(bumped)) > base
 
-    def test_hazard_sum_mode(self):
-        curve = curve_from([0.0, 0.0])
-        assert abs(risk_score(curve, mode="hazard_sum") - 1.0) < 1e-12
-
 
 class TestCIndex:
     def test_perfect_concordance(self):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from mome.bpe import load_checkpoint
 from mome.data import synthesize_cohort
-from mome.errors import DataError
+from mome.errors import ConfigError, DataError
+from mome.numcore import Adam
 from mome.training import (
     MetricsRecord,
     RunConfig,
@@ -124,3 +127,34 @@ class TestDeriveSeed:
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
         assert derive_seed(7, 1) != derive_seed(8, 1)
         assert 0 <= derive_seed(2**70, 5) < 2**64
+
+
+class TestGradAccum:
+    def test_one_step_per_group_including_the_partial_one(self, small_manifest, tmp_path,
+                                                          monkeypatch):
+        steps = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda self: (steps.append(1), step(self)))
+        cohort = load_cohort(small_manifest, time_bins=3)
+        n_train = sum(r.fold != 0 for r in cohort.rows)
+        assert n_train % 3  # grad_accum=3 leaves a trailing partial group
+        for k in (1, 3):
+            steps.clear()
+            train_fold(RunConfig(**SMALL_RUN, grad_accum=k), cohort, fold=0,
+                       out_dir=tmp_path / str(k))
+            assert len(steps) == SMALL_RUN["epochs"] * math.ceil(n_train / k)
+
+    def test_accumulation_changes_the_metrics_stream(self, small_manifest, tmp_path):
+        cohort = load_cohort(small_manifest, time_bins=3)
+
+        def stream(k):
+            records = []
+            train_fold(RunConfig(**SMALL_RUN, grad_accum=k), cohort, fold=0,
+                       out_dir=tmp_path / str(k), emit=records.append)
+            return [(r.split, r.loss, r.c_index) for r in records]
+
+        assert stream(2) != stream(1)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig(grad_accum=0)
