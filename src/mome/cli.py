@@ -20,7 +20,6 @@ import sys
 from dataclasses import Field, fields
 from typing import get_type_hints
 
-from . import numcore as nc
 from .bpe import load_checkpoint
 from .data import synthesize_cohort
 from .errors import ConfigError, DataError, MetricError, MomeError, NumericError, UsageError
@@ -61,6 +60,17 @@ def _resolve_seed(seed: int | None) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"MOME_SEED must be an integer, got '{raw}'")
+
+
+def _positive_int(text: str) -> int:
+    """``type=`` of the ``--key-chunk`` flags that are not generated from RunConfig."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
@@ -191,8 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError(f"manifest has no rows in fold {args.fold}")
     else:
         indices = list(range(len(cohort.rows)))
-    with nc.no_grad():
-        loss, score, _ = evaluate(model, cohort, indices, key_chunk=args.key_chunk)
+    loss, score, _ = evaluate(model, cohort, indices, key_chunk=args.key_chunk)
     print(f"samples={len(indices)} loss={loss:.6f} c_index={score:.6f}")
     return EXIT_OK
 
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     evl.add_argument("--checkpoint", required=True)
     evl.add_argument("--manifest", required=True)
     evl.add_argument("--fold", type=int, default=None, help="restrict to one fold")
-    evl.add_argument("--key-chunk", type=int, default=RunConfig().key_chunk,
+    evl.add_argument("--key-chunk", type=_positive_int, default=RunConfig().key_chunk,
                      help=f"attention key-block size (default: {RunConfig().key_chunk})")
     evl.set_defaults(func=cmd_eval)
 
@@ -286,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     route = sub.add_parser("route-stats", help="expert routing histogram for a checkpoint")
     route.add_argument("--checkpoint", required=True)
     route.add_argument("--manifest", required=True)
-    route.add_argument("--key-chunk", type=int, default=RunConfig().key_chunk)
+    route.add_argument("--key-chunk", type=_positive_int, default=RunConfig().key_chunk,
+                       help=f"attention key-block size (default: {RunConfig().key_chunk})")
     route.add_argument("--log-out", default=None, help="also write the full routing log CSV")
     route.set_defaults(func=cmd_route_stats)
     return parser

@@ -62,8 +62,13 @@ class RunConfig(ModelSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.grad_accum < 1:
-            raise ConfigError(f"grad_accum must be at least 1, got {self.grad_accum}")
+        # key_chunk None is dense attention (no key blocks).
+        for name in ("epochs", "key_chunk", "grad_accum"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -142,20 +147,29 @@ def evaluate(
     key_chunk: int | None = None,
     routing_log: list[RoutingRecord] | None = None,
 ) -> tuple[float, float, list[float]]:
-    """Mean loss, C-index, and per-sample risks over ``indices`` (eval mode)."""
+    """Mean loss, C-index, and per-sample risks over ``indices`` (eval mode).
+
+    Runs without recording a graph. A non-finite value raises
+    ``NumericError`` naming the op and the sample that produced it.
+    """
     losses, risks = [], []
-    for i in indices:
-        logits = model.forward(
-            cohort.bags[i],
-            cohort.genomics[i],
-            training=False,
-            routing_log=routing_log,
-            sample_id=cohort.rows[i].sample_id,
-            key_chunk=key_chunk,
-        )
-        curve = hazards_from_logits(logits)
-        losses.append(nll_loss(curve, cohort.targets[i]).item())
-        risks.append(risk_score(curve))
+    with nc.no_grad():
+        for i in indices:
+            sample_id = cohort.rows[i].sample_id
+            try:
+                logits = model.forward(
+                    cohort.bags[i],
+                    cohort.genomics[i],
+                    training=False,
+                    routing_log=routing_log,
+                    sample_id=sample_id,
+                    key_chunk=key_chunk,
+                )
+                curve = hazards_from_logits(logits)
+                losses.append(nll_loss(curve, cohort.targets[i]).item())
+            except NumericError as err:
+                raise NumericError(f"{err} at sample '{sample_id}'") from err
+            risks.append(risk_score(curve))
     score = c_index(risks, [cohort.targets[i] for i in indices])
     return float(np.mean(losses)), score, risks
 
@@ -234,8 +248,7 @@ def train_fold(
         )
         if emit:
             emit(train_record)
-        with nc.no_grad():
-            val_loss, val_c, _ = evaluate(model, cohort, val_idx, key_chunk=run.key_chunk)
+        val_loss, val_c, _ = evaluate(model, cohort, val_idx, key_chunk=run.key_chunk)
         if emit:
             emit(
                 MetricsRecord(
@@ -303,9 +316,7 @@ class RoutingStats:
 def routing_statistics(model: MoMEModel, cohort: CohortData,
                        key_chunk: int | None = None) -> RoutingStats:
     log: list[RoutingRecord] = []
-    with nc.no_grad():
-        evaluate(model, cohort, list(range(len(cohort.rows))), key_chunk=key_chunk,
-                 routing_log=log)
+    evaluate(model, cohort, list(range(len(cohort.rows))), key_chunk=key_chunk, routing_log=log)
     layers = model.config.layer_count
     histogram = np.zeros((layers, EXPERT_COUNT), dtype=np.int64)
     per_sample: dict[str, set[int]] = {}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mome.cli as cli
+import mome.training as training
 from mome.data import read_manifest, synthesize_cohort
 from mome.training import FoldResult, RunConfig, TrainSummary, TrainingAbort
 
@@ -293,6 +294,48 @@ class TestEvalAndRouteStats:
         code = run_cli("eval", "--checkpoint", str(trained / "fold0.ckpt"),
                        "--manifest", str(other / "manifest.csv"))
         assert code == 3
+
+
+class TestOutOfRangeSettings:
+    """A bad run setting exits 2 before the cohort is read."""
+
+    @pytest.fixture
+    def cohort_never_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cohort was read")
+
+        monkeypatch.setattr(training, "load_cohort", refuse)
+        monkeypatch.setattr(cli, "load_cohort", refuse)
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--epochs", "-2"], ["--key-chunk", "0"], ["--lr", "0"],
+        ["--lr=-1e-4"],
+    ])
+    def test_train_flag(self, cohort_dir, tmp_path, cohort_never_read, capsys, flags):
+        code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
+                       "--out", str(tmp_path / "o"), *flags)
+        assert code == 2
+        setting = flags[0].split("=")[0].lstrip("-").replace("-", "_")
+        assert setting in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["epochs=0", "key_chunk=-1", "lr=0"])
+    def test_train_config_key(self, cohort_dir, tmp_path, cohort_never_read, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
+                       "--out", str(tmp_path / "o"), "--config", str(path))
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "route-stats"])
+    @pytest.mark.parametrize("value", ["0", "-8", "many"])
+    def test_key_chunk_of_eval_and_route_stats(self, cohort_dir, trained, cohort_never_read,
+                                               capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--checkpoint", str(trained / "fold0.ckpt"),
+                    "--manifest", str(cohort_dir / "manifest.csv"), "--key-chunk", value)
+        assert exc.value.code == 2
+        assert "--key-chunk" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -112,6 +112,65 @@ class TestGenomicFileFormat:
             read_genomic_file(path)
 
 
+class TestNonFiniteValues:
+    """NaN, Inf and values past the float32 range never reach the model."""
+
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf])
+    def test_feature_writer_rejects_and_writes_nothing(self, tmp_path, bad):
+        bag = np.zeros((3, 4))
+        bag[1, 2] = bad
+        path = tmp_path / "bag.mmef"
+        with pytest.raises(DataError, match=r"index \(1, 2\)"):
+            write_feature_file(path, bag)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [3.5e38, np.nan, -np.inf])
+    def test_genomic_writer_rejects_and_writes_nothing(self, tmp_path, bad):
+        values = [np.ones(3) for _ in range(6)]
+        values[4][2] = bad
+        path = tmp_path / "g.mmeg"
+        with pytest.raises(DataError, match="genomic group 4"):
+            write_genomic_file(path, GenomicGroups(tuple(values)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feature_reader_names_byte_offset_of_first_bad_value(self, tmp_path, bad):
+        path = tmp_path / "bag.mmef"
+        write_feature_file(path, np.ones((4, 3)))
+        blob = bytearray(path.read_bytes())
+        for index in (7, 9):  # row 2 column 1, then a later one
+            blob[16 + 4 * index : 20 + 4 * index] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            read_feature_file(path)
+        assert err.value.offset == 16 + 4 * 7
+
+    def test_genomic_reader_names_byte_offset_of_first_bad_value(self, tmp_path):
+        path = tmp_path / "g.mmeg"
+        write_genomic_file(path, GenomicGroups(tuple(np.ones(3) for _ in range(6))))
+        blob = bytearray(path.read_bytes())
+        # Header 8 bytes, then per group a 5-byte block header and 12 payload bytes.
+        offset = 8 + 2 * 17 + 5 + 4  # group 2, value 1
+        blob[offset : offset + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="genomic group 2") as err:
+            read_genomic_file(path)
+        assert err.value.offset == offset
+
+    def test_train_over_a_non_finite_file_exits_3(self, tmp_path, capsys):
+        import mome.cli as cli
+
+        manifest = synthesize_cohort(12, 4, 6, "geno", 0.0, seed=5, out_dir=tmp_path, folds=2)
+        rows = read_manifest(manifest)
+        bag_path = tmp_path / rows[3].patho_path
+        blob = bytearray(bag_path.read_bytes())
+        blob[16:20] = np.float32(np.inf).tobytes()
+        bag_path.write_bytes(bytes(blob))
+        assert cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "run"),
+                         "--epochs", "1", "--dim", "8"]) == 3
+        assert "byte offset 16" in capsys.readouterr().err
+
+
 class TestManifest:
     def make_rows(self, tmp_path, n=4):
         rows = []

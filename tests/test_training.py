@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mome.bpe import load_checkpoint
+from mome.bpe import MoMEModel, load_checkpoint
 from mome.data import synthesize_cohort
-from mome.errors import ConfigError, DataError
+from mome.errors import ConfigError, DataError, NumericError
 from mome.numcore import Adam
 from mome.training import (
     MetricsRecord,
@@ -14,6 +14,7 @@ from mome.training import (
     evaluate,
     format_metrics_record,
     load_cohort,
+    model_config_for,
     routing_statistics,
     train_cohort,
     train_fold,
@@ -158,3 +159,32 @@ class TestGradAccum:
     def test_zero_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(grad_accum=0)
+
+
+class TestRunConfigRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("key_chunk", 0), ("lr", 0.0), ("lr", -2e-4),
+        ("lr", float("nan")),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    def test_dense_attention_key_chunk_allowed(self):
+        assert RunConfig(key_chunk=None).key_chunk is None
+
+
+class TestEvaluateNumericError:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_names_the_first_failing_sample(self, tmp_path):
+        cohort = load_cohort(synthesize_cohort(12, 6, 8, "geno", 0.25, seed=8, out_dir=tmp_path,
+                                               folds=3), time_bins=3)
+        model = MoMEModel(model_config_for(RunConfig(d=8, time_bins=3, seed=4), cohort, 0))
+        model.patch_w.data[:] = 1.0
+        for i in (10, 5):  # sums of 8 values of 1e308 overflow in the patch embedding
+            cohort.bags[i] = np.full((6, 8), 1e308)
+        with pytest.raises(NumericError) as err:
+            evaluate(model, cohort, [4, 5, 10, 6])
+        message = str(err.value)
+        assert "'matmul'" in message and f"'{cohort.rows[5].sample_id}'" in message
+        assert cohort.rows[10].sample_id not in message
