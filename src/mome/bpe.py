@@ -129,6 +129,8 @@ class ModelConfig(ModelSettings):
         super().__post_init__()
         if len(self.group_sizes) != N_GROUPS:
             raise ConfigError(f"expected {N_GROUPS} group sizes")
+        if self.d_in < 1 or min(self.group_sizes) < 1:
+            raise ConfigError(f"input widths must be at least 1: {self.d_in}, {self.group_sizes}")
 
     @property
     def layer_count(self) -> int:
@@ -224,7 +226,7 @@ class MoMEModel:
         bit-identical under any permutation of the input rows.
         """
         raw = patch_bag.data if isinstance(patch_bag, Tensor) else np.asarray(patch_bag)
-        if raw.ndim != 2 or raw.shape[0] < 1:
+        if raw.ndim != 2 or min(raw.shape) < 1:
             raise DataError(f"patch bag must be nonempty and rank-2, got shape {raw.shape}")
         canonical = raw[np.lexsort(raw.T[::-1])]
         pathology = self.embed_patches(canonical)

@@ -106,7 +106,7 @@ def _check_finite_payload(values: np.ndarray, offset: int, what: str) -> None:
 
 def write_feature_file(path, bag: np.ndarray) -> None:
     arr = np.asarray(bag, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != 2 or arr.size < 1:
         raise DataError(f"feature bag must be nonempty and rank-2, got shape {arr.shape}")
     n, dim = arr.shape
     payload = _float32_payload(arr, "feature")
@@ -128,6 +128,8 @@ def read_feature_file(path) -> np.ndarray:
         raise FormatError(f"unsupported feature file version {version}", 4)
     if n < 1:
         raise FormatError("feature file declares zero tokens", 8)
+    if dim < 1:
+        raise FormatError("feature file declares zero width", 12)
     expected = 16 + 4 * n * dim
     if len(buf) != expected:
         raise FormatError(f"feature payload: expected {expected} bytes, got {len(buf)}", 16)
@@ -169,6 +171,8 @@ def read_genomic_file(path) -> GenomicGroups:
             raise FormatError(f"truncated genomic block header (group {expected_id})", offset)
         if group_id != expected_id:
             raise FormatError(f"genomic group id {group_id}, expected {expected_id}", offset)
+        if length < 1:
+            raise FormatError(f"genomic group {group_id} is empty", offset)
         offset += 5
         nbytes = 4 * length
         if len(buf) < offset + nbytes:

@@ -248,17 +248,6 @@ def matmul(a, b) -> Tensor:
     return graph_op(out, (a, b), backward, "matmul")
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.reshape(shape).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, g.reshape(a.data.shape))
-
-    return graph_op(out, (a,), backward, "reshape")
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
@@ -269,19 +258,6 @@ def exp(a) -> Tensor:
             accumulate_grad(a, g * out)
 
     return graph_op(out, (a,), backward, "exp")
-
-
-def safe_log(a, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); gradient is zero wherever the floor is active."""
-    a = _as_tensor(a)
-    clamped = np.maximum(a.data, floor)
-    out = np.log(clamped)
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * (a.data > floor) / clamped)
-
-    return graph_op(out, (a,), backward, "safe_log")
 
 
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -1,15 +1,16 @@
 """Discrete-time hazard and survival math, censoring-aware loss, C-index.
 
-Time is divided into T intervals. The model predicts one logit per
-interval; the hazard h(t) is its sigmoid, the probability of the event
+Time is divided into T intervals. The model predicts one logit z_t per
+interval; the hazard h(t) = sigmoid(z_t) is the probability of the event
 occurring in interval t given survival up to it. The survival function
 is the running product s(t) = prod_{u<=t} (1 - h(u)).
 
 The likelihood follows the standard censored discrete-time convention:
 a censored sample (alive at last follow-up) contributes -log s(bin), an
 observed event contributes -log s(bin-1) - log h(bin) with s(-1) = 1.
-Probabilities are floored at 1e-12 before the log so a saturated model
-yields a large but finite loss.
+Both are computed in log space, -log s(t) = sum_{u<=t} softplus(z_u) and
+-log h(t) = softplus(-z_t), as one op over the logits: the loss is finite
+for finite logits and a saturated wrong prediction keeps its gradient.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import numcore as nc
 from .errors import DataError, MetricError, NumericError
 from .numcore import Tensor
-
-PROBABILITY_FLOOR = 1e-12
 
 
 @dataclass
@@ -42,51 +42,47 @@ class SurvivalTarget:
 
 @dataclass
 class HazardCurve:
-    """Per-interval hazards and the survival function they induce."""
+    """The T hazard logits with the hazards and survival function they induce."""
 
-    hazards: Tensor  # [T]
-    survival: Tensor  # [T], s(t) = prod_{u<=t} (1 - h(u))
-
-    @property
-    def hazard_values(self) -> np.ndarray:
-        return self.hazards.data
-
-    @property
-    def survival_values(self) -> np.ndarray:
-        return self.survival.data
+    logits: Tensor  # T entries, the loss differentiates through it
+    hazard_values: np.ndarray  # [T], h(t) = sigmoid(z_t)
+    survival_values: np.ndarray  # [T], s(t) = exp(-sum_{u<=t} softplus(z_u))
 
     @property
     def n_bins(self) -> int:
-        return self.hazards.data.shape[0]
+        return self.hazard_values.shape[0]
 
 
 def hazards_from_logits(logits: Tensor) -> HazardCurve:
-    """Map T logits to a hazard curve; differentiable end to end."""
+    """Map T logits to a hazard curve; :func:`nll_loss` differentiates through it."""
     if logits.size < 2:
         raise DataError(f"need at least 2 time bins, got {logits.size}")
-    if not np.all(np.isfinite(logits.data)):
+    z = logits.data.reshape(-1)
+    if not np.isfinite(z).all():
         raise NumericError("hazard logits contain non-finite values")
-    flat = nc.reshape(logits, (logits.size,))
-    hazards = nc.sigmoid(flat)
-    keep = nc.add(1.0, nc.neg(hazards))
-    parts = [nc.slice_rows(keep, 0, 1)]
-    for t in range(1, logits.size):
-        parts.append(nc.mul(parts[-1], nc.slice_rows(keep, t, t + 1)))
-    return HazardCurve(hazards=hazards, survival=nc.concat_rows(parts))
+    survival = np.exp(-np.cumsum(np.logaddexp(0.0, z)))
+    return HazardCurve(logits=logits, hazard_values=special.expit(z), survival_values=survival)
 
 
 def nll_loss(curve: HazardCurve, target: SurvivalTarget) -> Tensor:
-    """Censoring-aware negative log-likelihood of one sample (scalar tensor)."""
+    """Censoring-aware negative log-likelihood of one sample (scalar tensor):
+    softplus(sign_u * z_u) summed over bins u <= bin, sign -1 at an event bin."""
     t = target.bin
     if t >= curve.n_bins:
         raise DataError(f"bin {t} out of range for {curve.n_bins} intervals")
-    if target.censored:
-        return nc.neg(nc.safe_log(nc.slice_rows(curve.survival, t, t + 1), PROBABILITY_FLOOR))
-    event = nc.neg(nc.safe_log(nc.slice_rows(curve.hazards, t, t + 1), PROBABILITY_FLOOR))
-    if t == 0:
-        return event  # s(-1) is 1, so the survival term vanishes
-    prior = nc.neg(nc.safe_log(nc.slice_rows(curve.survival, t - 1, t), PROBABILITY_FLOOR))
-    return nc.add(prior, event)
+    logits = curve.logits
+    sign = np.ones(t + 1)
+    if not target.censored:
+        sign[t] = -1.0
+    signed = sign * logits.data.reshape(-1)[: t + 1]
+    loss = np.logaddexp(0.0, signed).sum()
+
+    def backward(g):
+        grad = np.zeros(logits.size)
+        grad[: t + 1] = g * sign * special.expit(signed)
+        nc.accumulate_grad(logits, grad.reshape(logits.shape))
+
+    return nc.graph_op(np.asarray(loss), (logits,), backward, "nll_loss")
 
 
 def risk_score(curve: HazardCurve) -> float:

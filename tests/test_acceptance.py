@@ -214,6 +214,7 @@ def acceptance_cohort(tmp_path_factory):
 
 
 class TestCriterion08DeskScaleLearning:
+    @pytest.mark.slow
     def test_full_model_learns_and_beats_tf_only(self, acceptance_cohort, tmp_path):
         start = time.perf_counter()
         full = train_cohort(RunConfig(seed=7), acceptance_cohort, tmp_path / "full")

@@ -154,6 +154,13 @@ class TestForward:
         with pytest.raises(DataError):
             model.forward(np.zeros((0, config.d_in)), groups)
 
+    def test_zero_width_patch_bag_rejected(self):
+        config = small_config()
+        model = MoMEModel(config)
+        _, groups = random_sample(config, seed=12)
+        with pytest.raises(DataError):
+            model.forward(np.zeros((5, 0)), groups)
+
     def test_all_dropf2_reduces_to_readout_over_embeddings(self):
         config = small_config(enable_mask=(False, False, False, True))
         model = MoMEModel(config)
@@ -282,6 +289,13 @@ class TestConfigValidation:
     def test_single_time_bin_rejected(self):
         with pytest.raises(ConfigError):
             small_config(time_bins=1)
+
+    @pytest.mark.parametrize("widths", [
+        dict(d_in=0), dict(d_in=-1), dict(group_sizes=(4, 3, 0, 4, 2, 6)),
+    ])
+    def test_empty_input_width_rejected(self, widths):
+        with pytest.raises(ConfigError, match="input widths"):
+            small_config(**widths)
 
     def test_unknown_first_encoded_rejected(self):
         with pytest.raises(ConfigError):

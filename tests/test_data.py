@@ -62,6 +62,17 @@ class TestFeatureFileFormat:
         with pytest.raises(DataError):
             write_feature_file(tmp_path / "bag.mmef", np.zeros((0, 4)))
 
+    def test_zero_width_rejected_at_its_header_field(self, tmp_path):
+        import struct
+
+        path = tmp_path / "bag.mmef"
+        path.write_bytes(b"MMEF" + struct.pack("<III", 1, 3, 0))
+        with pytest.raises(FormatError, match="zero width") as err:
+            read_feature_file(path)
+        assert err.value.offset == 12
+        with pytest.raises(DataError):
+            write_feature_file(path, np.zeros((3, 0)))
+
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bag.mmef"
         path.write_bytes(b"XXXX" + b"\x00" * 20)
@@ -110,6 +121,31 @@ class TestGenomicFileFormat:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             read_genomic_file(path)
+
+    def test_empty_group_rejected_at_its_block_header(self, tmp_path):
+        path = tmp_path / "g.mmeg"
+        write_genomic_file(path, GenomicGroups(tuple(np.ones(3) for _ in range(6))))
+        blob = bytearray(path.read_bytes())
+        # Header 8 bytes, then per group a 5-byte block header and 12 payload bytes;
+        # group 2 loses its payload and declares length 0.
+        start = 8 + 2 * 17
+        blob[start + 1 : start + 17] = b"\x00\x00\x00\x00"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="genomic group 2 is empty") as err:
+            read_genomic_file(path)
+        assert err.value.offset == start
+
+    def test_train_over_zero_width_bags_exits_3(self, tmp_path, capsys):
+        import struct
+
+        import mome.cli as cli
+
+        manifest = synthesize_cohort(12, 4, 6, "geno", 0.0, seed=5, out_dir=tmp_path, folds=2)
+        for row in read_manifest(manifest):
+            (tmp_path / row.patho_path).write_bytes(b"MMEF" + struct.pack("<III", 1, 4, 0))
+        assert cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "run"),
+                         "--epochs", "1", "--dim", "8"]) == 3
+        assert "zero width (at byte offset 12)" in capsys.readouterr().err
 
 
 class TestNonFiniteValues:

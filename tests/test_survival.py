@@ -135,6 +135,30 @@ class TestNllLoss:
             assert abs(logits.grad[0, i] - (hi - lo) / (2 * h)) <= 1e-6
 
 
+class TestFusedLoss:
+    @pytest.mark.parametrize("logits, target, slope", [
+        ([40.0, 0.0, 0.0, 0.0], SurvivalTarget(bin=0, censored=True, raw_time=1.0), 1.0),
+        ([-40.0, 0.0, 0.0], SurvivalTarget(bin=0, censored=False, raw_time=1.0), -1.0),
+        ([0.0, 0.0, 800.0], SurvivalTarget(bin=2, censored=True, raw_time=1.0), 1.0),
+        ([0.0, -800.0], SurvivalTarget(bin=1, censored=False, raw_time=1.0), -1.0),
+    ])
+    def test_saturated_wrong_prediction_keeps_its_gradient(self, logits, target, slope):
+        z = nc.Tensor(logits, requires_grad=True)
+        loss = nll_loss(hazards_from_logits(z), target)
+        loss.backward()
+        saturated = abs(logits[target.bin])
+        assert np.isfinite(loss.item()) and abs(loss.item() - saturated) <= 2.0
+        assert abs(z.grad[target.bin] - slope) <= 1e-12
+
+    def test_head_and_loss_build_one_graph_node(self):
+        logits = nc.Tensor(nc.rng_stream(57).standard_normal((1, 4)), requires_grad=True)
+        first = next(nc._node_ids)
+        loss = nll_loss(hazards_from_logits(logits),
+                        SurvivalTarget(bin=2, censored=False, raw_time=1.0))
+        assert next(nc._node_ids) - first == 2  # the loss node and this probe
+        assert loss._parents == (logits,)
+
+
 class TestRiskScore:
     def test_minimum_risk(self):
         assert abs(risk_score(curve_from([-50.0] * 4)) - (-4.0)) < 1e-9
