@@ -4,7 +4,9 @@ Both kernels share one fused scaled-dot-product op whose forward streams
 over key blocks with an online log-sum-exp accumulator, so the full
 score matrix never has to be materialized. The streamed result is exact
 (not an approximation): for any block size it matches the dense
-computation to accumulation roundoff.
+computation to accumulation roundoff. The same op splits the heads: it
+walks each head's column slice of the projected queries, keys and values
+inside one graph node, so H heads cost no extra nodes.
 
 The cross-modal embedding identity is shipped as an executable check:
 concatenated self-attention contains co-attention as the cross block of
@@ -92,60 +94,75 @@ def scaled_dot_attention(
     scale: float,
     mask: np.ndarray | None = None,
     key_chunk: int | None = None,
+    head_count: int = 1,
 ) -> Tensor:
-    """softmax(q kᵀ · scale + mask) v as one fused, differentiable op.
+    """softmax(q kᵀ · scale + mask) v per head, as one fused, differentiable op.
 
-    With ``key_chunk`` set the forward pass streams over key blocks of
-    that size using a running row maximum and running normalizer; the
-    backward pass re-walks the same blocks, so peak memory stays at
-    n_queries x key_chunk scores.
+    With ``head_count`` H the columns of q, k and v split into H equal
+    slices; head h attends with slice h of each and writes slice h of the
+    output. With ``key_chunk`` set the forward pass streams over key
+    blocks of that size using a running row maximum and running
+    normalizer; the backward pass re-walks the same blocks, so peak
+    memory stays at n_queries x key_chunk scores.
     """
-    n, dh = q.shape
-    m = k.shape[0]
-    if k.shape != (m, dh) or v.shape[0] != m:
+    n, d = q.shape
+    m, d_v = v.shape
+    if k.shape != (m, d):
         raise ShapeError(f"attention operand shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     if key_chunk is not None and key_chunk < 1:
         raise ConfigError(f"key_chunk must be >= 1, got {key_chunk}")
+    if head_count < 1 or d % head_count or d_v % head_count:
+        raise ConfigError(f"widths {d} and {d_v} do not split into {head_count} heads")
     block = m if key_chunk is None else min(key_chunk, m)
     bounds = [(s, min(s + block, m)) for s in range(0, m, block)]
+    dh, dvh = d // head_count, d_v // head_count
 
-    qd, kd, vd = q.data, k.data, v.data
-    row_max = np.full(n, -np.inf)
-    normalizer = np.zeros(n)
-    acc = np.zeros((n, vd.shape[1]))
-    for start, stop in bounds:
-        scores = qd @ kd[start:stop].T * scale
-        if mask is not None:
-            scores = scores + mask[:, start:stop]
-        with np.errstate(invalid="ignore"):
-            new_max = np.maximum(row_max, scores.max(axis=1))
-            carried = np.where(np.isneginf(new_max), 1.0, np.exp(row_max - new_max))
-            probs = np.where(np.isneginf(new_max)[:, None], 0.0, np.exp(scores - new_max[:, None]))
-        normalizer = normalizer * carried + probs.sum(axis=1)
-        acc = acc * carried[:, None] + probs @ vd[start:stop]
-        row_max = new_max
-    if np.any(normalizer == 0.0):
-        raise DegenerateAttentionError("attention normalizer vanished for a fully masked row")
-    out = acc / normalizer[:, None]
-
-    def backward(g):
-        delta = np.sum(g * out, axis=1)
-        dq = np.zeros_like(qd) if q.requires_grad else None
-        dk = np.zeros_like(kd) if k.requires_grad else None
-        dv = np.zeros_like(vd) if v.requires_grad else None
+    out = np.empty((n, d_v))
+    heads = []
+    for h in range(head_count):
+        qk, vc = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
+        qd, kd = np.ascontiguousarray(q.data[:, qk]), np.ascontiguousarray(k.data[:, qk])
+        vd = np.ascontiguousarray(v.data[:, vc])
+        row_max = np.full(n, -np.inf)
+        normalizer = np.zeros(n)
+        acc = np.zeros((n, dvh))
         for start, stop in bounds:
             scores = qd @ kd[start:stop].T * scale
             if mask is not None:
                 scores = scores + mask[:, start:stop]
-            probs = np.exp(scores - row_max[:, None]) / normalizer[:, None]
-            if dv is not None:
-                dv[start:stop] += probs.T @ g
-            if dq is not None or dk is not None:
-                dscores = probs * (g @ vd[start:stop].T - delta[:, None])
-                if dq is not None:
-                    dq += dscores @ kd[start:stop] * scale
-                if dk is not None:
-                    dk[start:stop] += dscores.T @ qd * scale
+            with np.errstate(invalid="ignore"):
+                new_max = np.maximum(row_max, scores.max(axis=1))
+                carried = np.where(np.isneginf(new_max), 1.0, np.exp(row_max - new_max))
+                probs = np.where(np.isneginf(new_max)[:, None], 0.0,
+                                 np.exp(scores - new_max[:, None]))
+            normalizer = normalizer * carried + probs.sum(axis=1)
+            acc = acc * carried[:, None] + probs @ vd[start:stop]
+            row_max = new_max
+        if np.any(normalizer == 0.0):
+            raise DegenerateAttentionError("attention normalizer vanished for a fully masked row")
+        out[:, vc] = acc / normalizer[:, None]
+        heads.append((qk, vc, qd, kd, vd, row_max, normalizer))
+
+    def backward(g):
+        dq = np.zeros_like(q.data) if q.requires_grad else None
+        dk = np.zeros_like(k.data) if k.requires_grad else None
+        dv = np.zeros_like(v.data) if v.requires_grad else None
+        for qk, vc, qd, kd, vd, row_max, normalizer in heads:
+            gh = np.ascontiguousarray(g[:, vc])
+            delta = np.sum(gh * out[:, vc], axis=1)
+            for start, stop in bounds:
+                scores = qd @ kd[start:stop].T * scale
+                if mask is not None:
+                    scores = scores + mask[:, start:stop]
+                probs = np.exp(scores - row_max[:, None]) / normalizer[:, None]
+                if dv is not None:
+                    dv[start:stop, vc] += probs.T @ gh
+                if dq is not None or dk is not None:
+                    dscores = probs * (gh @ vd[start:stop].T - delta[:, None])
+                    if dq is not None:
+                        dq[:, qk] += dscores @ kd[start:stop] * scale
+                    if dk is not None:
+                        dk[start:stop, qk] += dscores.T @ qd * scale
         if dq is not None:
             nc.accumulate_grad(q, dq)
         if dk is not None:
@@ -154,11 +171,6 @@ def scaled_dot_attention(
             nc.accumulate_grad(v, dv)
 
     return nc.graph_op(out, (q, k, v), backward, "scaled_dot_attention")
-
-
-def _per_head(params: AttentionParams, projected: Tensor, head: int) -> Tensor:
-    dh = params.width // params.head_count
-    return nc.slice_columns(projected, head * dh, (head + 1) * dh)
 
 
 def _attend(
@@ -171,18 +183,9 @@ def _attend(
     xq = nc.matmul(queries_from, params.query)
     xk = nc.matmul(keys_from, params.key)
     xv = nc.matmul(keys_from, params.value)
-    dh = params.width // params.head_count
-    scale = 1.0 / np.sqrt(dh)
-    if params.head_count == 1:
-        return scaled_dot_attention(xq, xk, xv, scale, mask, key_chunk)
-    heads = [
-        scaled_dot_attention(
-            _per_head(params, xq, h), _per_head(params, xk, h), _per_head(params, xv, h),
-            scale, mask, key_chunk,
-        )
-        for h in range(params.head_count)
-    ]
-    return nc.matmul(nc.concat_columns(heads), params.out_proj)
+    scale = 1.0 / np.sqrt(params.width // params.head_count)
+    out = scaled_dot_attention(xq, xk, xv, scale, mask, key_chunk, params.head_count)
+    return out if params.out_proj is None else nc.matmul(out, params.out_proj)
 
 
 def self_attention(

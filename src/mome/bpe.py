@@ -19,7 +19,8 @@ with the config block holding, little-endian: d u32, rounds u32, n_b
 u32, head_count u32, time_bins u32, d_in u32, first_encoded u8, four
 enable-mask u8 flags, scale_by_gate_prob u8, dropout_rate f64, seed u64,
 n_groups u32 and one u32 group size each. The loader validates the
-magic, version, every extent, and the total byte count.
+magic, version, every extent, the total byte count and that every payload
+value is finite.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class ModelSettings:
             raise ConfigError(f"first_encoded must be one of {FIRST_ENCODED_CHOICES}")
         if not any(self.enable_mask):
             raise ConfigError("at least one expert must be enabled")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -221,9 +224,14 @@ class MoMEModel:
     ) -> Tensor:
         """Hazard logits [1, T] for one sample.
 
-        Patch rows are sorted into a canonical order first: the bag is an
-        unordered set, and pinning the reduction order makes evaluation
-        bit-identical under any permutation of the input rows.
+        Patch rows are sorted into a canonical order first. The bag is an
+        unordered set, and this sort is the single place that makes the
+        model order-free: every later op sees the rows in this order (or
+        in a fixed one, for the genomic groups and bottleneck tokens), so
+        outputs, dropout draws, the loss and every gradient are
+        bit-identical under any permutation of the input rows, in training
+        and in evaluation. The ops themselves, pooling included, promise
+        no order-freedom of their own.
         """
         raw = patch_bag.data if isinstance(patch_bag, Tensor) else np.asarray(patch_bag)
         if raw.ndim != 2 or min(raw.shape) < 1:
@@ -332,20 +340,23 @@ def _unpack_config(buf: bytes, offset: int) -> tuple[ModelConfig, int]:
         raise FormatError(f"truncated config block: {err}", offset)
     if first >= len(FIRST_ENCODED_CHOICES):
         raise FormatError(f"invalid first_encoded flag {first}", offset)
-    config = ModelConfig(
-        d=d,
-        rounds=rounds,
-        n_b=n_b,
-        head_count=heads,
-        time_bins=bins,
-        enable_mask=(bool(m0), bool(m1), bool(m2), bool(m3)),
-        first_encoded=FIRST_ENCODED_CHOICES[first],
-        seed=seed,
-        d_in=d_in,
-        group_sizes=tuple(int(s) for s in sizes),
-        dropout_rate=dropout,
-        scale_by_gate_prob=bool(scaled),
-    )
+    try:
+        config = ModelConfig(
+            d=d,
+            rounds=rounds,
+            n_b=n_b,
+            head_count=heads,
+            time_bins=bins,
+            enable_mask=(bool(m0), bool(m1), bool(m2), bool(m3)),
+            first_encoded=FIRST_ENCODED_CHOICES[first],
+            seed=seed,
+            d_in=d_in,
+            group_sizes=tuple(int(s) for s in sizes),
+            dropout_rate=dropout,
+            scale_by_gate_prob=bool(scaled),
+        )
+    except ConfigError as err:
+        raise FormatError(f"invalid config block: {err}", offset)
     return config, offset
 
 
@@ -413,7 +424,15 @@ def load_checkpoint(path) -> MoMEModel:
                 f"parameter '{name}' payload has {len(payload)} bytes, expected {nbytes}",
                 offset,
             )
-        tensor.data[...] = np.frombuffer(payload, dtype="<f8").reshape(extents)
+        values = np.frombuffer(payload, dtype="<f8")
+        # The payload is written into place, past the Tensor finite check.
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise FormatError(
+                f"parameter '{name}' holds non-finite value {float(values[bad[0]])!r}",
+                offset + 8 * int(bad[0]),
+            )
+        tensor.data[...] = values.reshape(extents)
         offset += nbytes
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after last parameter", offset)

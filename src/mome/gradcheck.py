@@ -148,7 +148,7 @@ def _check_structural(seed, fault=False):
 
     def build():
         cat = nc.concat_rows([a, b])
-        piece = nc.slice_columns(nc.slice_rows(cat, 1, 3), 1, 3)
+        piece = nc.select_columns(nc.slice_rows(cat, 1, 3), [1, 2])
         return _weighted_sum(piece, w)
 
     return max_fd_error(build, [a, b], fault=fault)

@@ -292,19 +292,17 @@ def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def mean_rows(a, keepdims: bool = True) -> Tensor:
     """Mean over the token (first) axis of a bag.
 
-    Each column is sorted before it is summed. That fixes the order of
-    the additions, so the result is bit-identical under any permutation
-    of the rows: bags are unordered sets, and pooling them must not
-    depend on storage order. Sorting and summing are two numpy calls
-    over all columns at once, several times faster than an exactly
-    rounded per-column ``math.fsum``; the sum is order-free but not
-    exactly rounded, and may differ from the exact sum in the last bit.
+    The rows are summed in storage order, so the result depends on that
+    order in its last bits: this op guarantees no order of its own.
+    Callers that pool an unordered set fix the order first; the model
+    does it once, by sorting the patch rows at its entry (see
+    ``MoMEModel.forward``).
     """
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"mean_rows needs a rank-2 bag, got {a.shape}")
     n = a.data.shape[0]
-    pooled = np.sort(a.data, axis=0).sum(axis=0, keepdims=keepdims) / n
+    pooled = a.data.sum(axis=0, keepdims=keepdims) / n
 
     def backward(g):
         if a.requires_grad:
@@ -342,39 +340,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
             a.grad[start:stop] += g
 
     return graph_op(out, (a,), backward, "slice_rows")
-
-
-def slice_columns(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"slice_columns needs a rank-2 tensor, got {a.shape}")
-    m = a.data.shape[1]
-    if not (0 <= start < stop <= m):
-        raise ShapeError(f"column slice [{start}:{stop}] invalid for {m} columns")
-    out = a.data[:, start:stop].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += g
-
-    return graph_op(out, (a,), backward, "slice_columns")
-
-
-def concat_columns(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise UsageError("concat_columns of an empty sequence")
-    out = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def backward(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                accumulate_grad(p, g[:, start:stop])
-
-    return graph_op(out, tuple(parts), backward, "concat_columns")
 
 
 def select_columns(a, columns: Sequence[int]) -> Tensor:

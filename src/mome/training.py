@@ -69,6 +69,10 @@ class RunConfig(ModelSettings):
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be at least 2, got {self.folds}")
 
 
 @dataclass

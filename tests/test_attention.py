@@ -72,6 +72,35 @@ class TestSelfAttention:
         out = self_attention(tokens, params)
         assert np.allclose(out.data, dense_reference(tokens.data, params), atol=1e-12)
 
+    @pytest.mark.parametrize("key_chunk, masked", [(3, False), (None, True), (3, True)],
+                             ids=["chunked", "cross_block", "chunked_cross_block"])
+    def test_multihead_streamed_or_masked_matches_dense_oracle(self, key_chunk, masked):
+        rng = nc.rng_stream(7)
+        params = make_params(8, 8, head_count=2)
+        tokens = nc.Tensor(rng.standard_normal((5, 8)))
+        mask = cross_block_mask(2, 3) if masked else None
+        out = self_attention(tokens, params, mask=mask, key_chunk=key_chunk)
+        expected = dense_reference(tokens.data, params, mask=mask)
+        assert np.allclose(out.data, expected, atol=1e-12)
+
+    def test_multihead_is_one_kernel_node(self):
+        rng = nc.rng_stream(8)
+        params = make_params(8, 9, head_count=2)
+        tokens = nc.Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        out = self_attention(tokens, params)
+        ops, stack = [], [out]
+        while stack:
+            node = stack.pop()
+            if node._op != "leaf":
+                ops.append(node._op)
+            stack.extend(node._parents)
+        assert sorted(ops) == ["matmul"] * 4 + ["scaled_dot_attention"]
+
+    def test_head_count_must_split_widths(self):
+        x = nc.Tensor(nc.rng_stream(10).standard_normal((4, 6)))
+        with pytest.raises(ConfigError, match="heads"):
+            scaled_dot_attention(x, x, x, 1.0, head_count=4)
+
     def test_weight_rows_sum_to_one(self):
         rng = nc.rng_stream(9)
         params = make_params(8, 10, head_count=2)

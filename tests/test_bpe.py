@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,45 @@ class TestForward:
         permuted = model.forward(patches[perm], groups).data
         assert np.array_equal(base, permuted)
 
+    def test_patch_permutation_bit_exact_in_training(self):
+        # The canonical patch order is the only owner of order-freedom:
+        # dropout draws, pooled means and every gradient must follow it.
+        routed = set()
+        for seed in range(4):
+            config = small_config(seed=seed, dropout_rate=0.25)
+            rng = nc.rng_stream(100 + seed)
+            patches = rng.standard_normal((37, config.d_in))
+            groups = GenomicGroups(tuple(rng.standard_normal(s) for s in config.group_sizes))
+            perm = nc.rng_stream(200 + seed).permutation(patches.shape[0])
+            target = SurvivalTarget(bin=2, censored=False, raw_time=50.0)
+            runs = []
+            for bag in (patches, patches[perm]):
+                model = MoMEModel(config)
+                log = []
+                logits = model.forward(bag, groups, training=True, rng=nc.rng_stream(seed),
+                                       routing_log=log)
+                loss = nll_loss(hazards_from_logits(logits), target)
+                loss.backward()
+                routed.update(int(r.expert) for r in log)
+                runs.append((loss.data, [(n, t.grad) for n, t in model.parameters()]))
+            (loss_a, grads_a), (loss_b, grads_b) = runs
+            assert np.array_equal(loss_a, loss_b)
+            for (name, ga), (_, gb) in zip(grads_a, grads_b):
+                assert (ga is None) == (gb is None), name
+                assert ga is None or np.array_equal(ga, gb), name
+        assert routed == {int(e) for e in ExpertId}
+
+    def test_large_bag_permutation_bit_exact_over_key_blocks(self):
+        config = small_config()
+        model = MoMEModel(config)
+        rng = nc.rng_stream(16)
+        patches = rng.standard_normal((300, config.d_in))
+        _, groups = random_sample(config, seed=17)
+        perm = nc.rng_stream(18).permutation(patches.shape[0])
+        base = model.forward(patches, groups, key_chunk=64).data
+        permuted = model.forward(patches[perm], groups, key_chunk=64).data
+        assert np.array_equal(base, permuted)
+
     def test_empty_patch_bag_rejected(self):
         config = small_config()
         model = MoMEModel(config)
@@ -268,6 +309,33 @@ class TestCheckpointRoundtrip:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_payload_rejected_at_its_offset(self, tmp_path, value):
+        model = MoMEModel(small_config(seed=26))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        # patch.w is rank 2: one rank byte and two u32 extents precede the payload.
+        start = blob.find(b"patch.w") + len(b"patch.w") + 1 + 8
+        bad = start + 8 * 3
+        blob[bad : bad + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="patch.w") as err:
+            load_checkpoint(path)
+        assert err.value.offset == bad
+
+    @pytest.mark.parametrize("rate", [1.5, np.nan])
+    def test_out_of_range_config_value_is_format_error(self, tmp_path, rate):
+        model = MoMEModel(small_config(seed=27))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        # magic, version, six u32 and six u8 flags precede dropout_rate.
+        struct.pack_into("<d", blob, 8 + 4 + 24 + 6, rate)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="dropout_rate"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         model = MoMEModel(small_config(seed=25))
         path = tmp_path / "model.ckpt"
@@ -285,6 +353,11 @@ class TestConfigValidation:
     def test_zero_heads_rejected(self):
         with pytest.raises(ConfigError):
             small_config(head_count=0)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ConfigError, match="dropout_rate"):
+            small_config(dropout_rate=rate)
 
     def test_single_time_bin_rejected(self):
         with pytest.raises(ConfigError):

@@ -288,6 +288,19 @@ class TestEvalAndRouteStats:
         assert code == 3
         assert "layer 1 routed 19 samples, cohort has 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "route-stats"])
+    def test_non_finite_checkpoint_is_format_error(self, cohort_dir, trained, tmp_path,
+                                                   capsys, command):
+        blob = bytearray((trained / "fold0.ckpt").read_bytes())
+        start = blob.find(b"patch.w") + len(b"patch.w") + 1 + 8
+        blob[start : start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(bytes(blob))
+        code = run_cli(command, "--checkpoint", str(path),
+                       "--manifest", str(cohort_dir / "manifest.csv"))
+        assert code == 3
+        assert f"byte offset {start}" in capsys.readouterr().err
+
     def test_checkpoint_manifest_mismatch(self, cohort_dir, trained, tmp_path):
         other = tmp_path / "other"
         synthesize_cohort(12, 4, 5, "patho", 0.0, seed=1, out_dir=other)
@@ -309,7 +322,8 @@ class TestOutOfRangeSettings:
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--epochs", "-2"], ["--key-chunk", "0"], ["--lr", "0"],
-        ["--lr=-1e-4"],
+        ["--lr=-1e-4"], ["--dropout", "1.5"], ["--dropout", "nan"], ["--weight-decay=-1"],
+        ["--weight-decay", "nan"], ["--folds", "1"],
     ])
     def test_train_flag(self, cohort_dir, tmp_path, cohort_never_read, capsys, flags):
         code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
@@ -319,7 +333,8 @@ class TestOutOfRangeSettings:
         assert setting in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("line", ["epochs=0", "key_chunk=-1", "lr=0"])
+    @pytest.mark.parametrize("line", ["epochs=0", "key_chunk=-1", "lr=0", "dropout_rate=1",
+                                      "weight_decay=-1e-5", "folds=1"])
     def test_train_config_key(self, cohort_dir, tmp_path, cohort_never_read, line):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")

@@ -41,15 +41,6 @@ class TestGate:
         assert np.array_equal(decision.logits.data, np.zeros((1, 4)))
         assert decision.expert == ExpertId.TRANSFUSION
 
-    def test_token_permutation_leaves_logits_bit_identical(self):
-        rng = nc.rng_stream(4)
-        params = GateParams.create(8, nc.rng_stream(5))
-        tokens = rng.standard_normal((6, 8))
-        f2 = nc.Tensor(rng.standard_normal((3, 8)))
-        base = gate(nc.Tensor(tokens), f2, params).logits.data
-        perm = gate(nc.Tensor(tokens[::-1].copy()), f2, params).logits.data
-        assert np.array_equal(base, perm)
-
     def test_forced_routing_ignores_logits(self):
         f1, f2 = random_bags(seed=6)
         params = GateParams.create(8, nc.rng_stream(7))

@@ -164,7 +164,10 @@ class TestGradAccum:
 class TestRunConfigRanges:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("key_chunk", 0), ("lr", 0.0), ("lr", -2e-4),
-        ("lr", float("nan")),
+        ("lr", float("nan")), ("dropout_rate", 1.5), ("dropout_rate", 1.0),
+        ("dropout_rate", -0.25), ("dropout_rate", float("nan")), ("weight_decay", -1.0),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("folds", 1),
+        ("folds", 0),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
