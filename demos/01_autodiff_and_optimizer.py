@@ -40,7 +40,7 @@ optimizer = nc.Adam([param], lr=0.05, weight_decay=0.0)
 for step in range(200):
     optimizer.zero_grad()
     residual = nc.add(nc.matmul(nc.Tensor(inputs), param), nc.Tensor(-targets))
-    nc.reduce_mean(nc.mul(residual, residual)).backward()
+    nc.mul(nc.reduce_sum(nc.mul(residual, residual)), 1.0 / len(inputs)).backward()
     optimizer.step()
 
 print("recovered weights close to truth:", np.allclose(param.data, true_w, atol=1e-3))

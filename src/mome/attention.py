@@ -220,27 +220,6 @@ def co_attention(
     return _attend(f1, f2, params, None, key_chunk)
 
 
-def attention_weights(
-    tokens_q: Tensor, tokens_kv: Tensor, params: AttentionParams, mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Post-softmax attention weights per head (inspection only, no graph)."""
-    with nc.no_grad():
-        xq = tokens_q.data @ params.query.data
-        xk = tokens_kv.data @ params.key.data
-    dh = params.width // params.head_count
-    scale = 1.0 / np.sqrt(dh)
-    rows = []
-    for h in range(params.head_count):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = xq[:, sl] @ xk[:, sl].T * scale
-        if mask is not None:
-            scores = scores + mask
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        rows.append(e / e.sum(axis=1, keepdims=True))
-    return np.stack(rows)
-
-
 def cross_block_mask(n1: int, n2: int) -> np.ndarray:
     """Additive mask over [F1; F2] tokens that hides the F1->F1 block."""
     mask = np.zeros((n1 + n2, n1 + n2))

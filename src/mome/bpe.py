@@ -26,7 +26,7 @@ value is finite.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -438,7 +438,3 @@ def load_checkpoint(path) -> MoMEModel:
         raise FormatError(f"{len(buf) - offset} trailing bytes after last parameter", offset)
     return model
 
-
-def with_expert_mask(config: ModelConfig, mask: tuple[bool, ...]) -> ModelConfig:
-    """Config copy with a different expert enable mask (ablation helper)."""
-    return replace(config, enable_mask=tuple(bool(b) for b in mask))

@@ -28,7 +28,6 @@ from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .training import (
     METRICS_HEADER,
     RunConfig,
-    TrainingAbort,
     evaluate,
     format_metrics_record,
     load_cohort,
@@ -307,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except TrainingAbort as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except (ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

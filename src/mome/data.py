@@ -208,6 +208,10 @@ class ManifestRow:
 
 
 def write_manifest(path, rows: list[ManifestRow]) -> None:
+    for row in rows:
+        if not 0 < row.raw_time < math.inf:
+            raise DataError(f"sample '{row.sample_id}': raw_time {row.raw_time!r} "
+                            f"is not positive and finite")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
@@ -224,7 +228,7 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
             )
 
 
-def read_manifest(path, check_files: bool = True) -> list[ManifestRow]:
+def read_manifest(path) -> list[ManifestRow]:
     base = os.path.dirname(os.path.abspath(path))
     rows: list[ManifestRow] = []
     with open(path, newline="") as fh:
@@ -243,8 +247,9 @@ def read_manifest(path, check_files: bool = True) -> list[ManifestRow]:
                 fold_value = int(fold)
             except ValueError as err:
                 raise FormatError(f"manifest line {lineno}: {err}")
-            if time_value <= 0:
-                raise FormatError(f"manifest line {lineno}: raw_time must be positive")
+            if not 0 < time_value < math.inf:
+                raise FormatError(f"manifest line {lineno}: raw_time {raw_time} "
+                                  f"is not positive and finite")
             if fold_value < -1:
                 raise FormatError(f"manifest line {lineno}: fold must be >= -1")
             rows.append(
@@ -253,11 +258,10 @@ def read_manifest(path, check_files: bool = True) -> list[ManifestRow]:
     ids = [r.sample_id for r in rows]
     if len(set(ids)) != len(ids):
         raise DataError("manifest sample_ids are not unique")
-    if check_files:
-        for row in rows:
-            for rel in (row.patho_path, row.geno_path):
-                if not os.path.exists(os.path.join(base, rel)):
-                    raise DataError(f"manifest references missing file {rel}")
+    for row in rows:
+        for rel in (row.patho_path, row.geno_path):
+            if not os.path.exists(os.path.join(base, rel)):
+                raise DataError(f"manifest references missing file {rel}")
     return rows
 
 

@@ -78,14 +78,13 @@ class GateParams:
     gain2: Tensor
 
     @classmethod
-    def create(cls, d: int, rng: np.random.Generator, d_gate: int | None = None) -> "GateParams":
-        dg = d if d_gate is None else d_gate
+    def create(cls, d: int, rng: np.random.Generator) -> "GateParams":
         return cls(
-            w1=Tensor(_fan_in_uniform(rng, (d, dg)), requires_grad=True),
-            w2=Tensor(_fan_in_uniform(rng, (d, dg)), requires_grad=True),
-            w=Tensor(_fan_in_uniform(rng, (dg, EXPERT_COUNT)), requires_grad=True),
-            gain1=Tensor(np.ones(dg), requires_grad=True),
-            gain2=Tensor(np.ones(dg), requires_grad=True),
+            w1=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
+            w2=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
+            w=Tensor(_fan_in_uniform(rng, (d, EXPERT_COUNT)), requires_grad=True),
+            gain1=Tensor(np.ones(d), requires_grad=True),
+            gain2=Tensor(np.ones(d), requires_grad=True),
         )
 
     def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:

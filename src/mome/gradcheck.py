@@ -8,12 +8,14 @@ and compares every analytic gradient entry against a central difference
 
 so it reads as a relative error for order-one gradients and as an
 absolute error near zero. The suite is the executable contract that the
-backward of every primitive, every attention variant, the gate, each
-expert, the loss, and a composite model path are all exact.
+backward of every primitive the model runs (broadcasting included), every
+attention variant, the gate, each expert, one routed MoME layer, the loss
+and a composite model path are all exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -23,7 +25,8 @@ from . import numcore as nc
 from .attention import AttentionParams, co_attention, cross_block_mask, self_attention
 from .bpe import GenomicGroups, ModelConfig, MoMEModel
 from .errors import ConfigError
-from .experts import MoMELayer, bottleneck_transfusion, dropf2fusion, gate, snnfusion, transfusion
+from .experts import (EXPERT_COUNT, MoMELayer, bottleneck_transfusion, dropf2fusion, gate,
+                      mome_forward, snnfusion, transfusion)
 from .numcore import Tensor
 from .survival import SurvivalTarget, hazards_from_logits, nll_loss
 
@@ -106,12 +109,12 @@ def _check_rmsnorm(seed, fault=False):
     return max_fd_error(lambda: _weighted_sum(nc.rmsnorm(x, gain), w), [x, gain], fault=fault)
 
 
-def _activation_check(kind):
+def _activation_check(fn):
     def check(seed, fault=False):
         rng = nc.rng_stream(seed)
         x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
         w = rng.standard_normal((2, 5))
-        return max_fd_error(lambda: _weighted_sum(nc.activation(x, kind), w), [x], fault=fault)
+        return max_fd_error(lambda: _weighted_sum(fn(x), w), [x], fault=fault)
 
     return check
 
@@ -132,12 +135,7 @@ def _check_pooling(seed, fault=False):
     rng = nc.rng_stream(seed)
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     w = rng.standard_normal((1, 3))
-
-    def build():
-        pooled = nc.mean_rows(x)
-        return nc.add(_weighted_sum(pooled, w), nc.reduce_sum(nc.reduce_mean(x, axis=1)))
-
-    return max_fd_error(build, [x], fault=fault)
+    return max_fd_error(lambda: _weighted_sum(nc.mean_rows(x), w), [x], fault=fault)
 
 
 def _check_structural(seed, fault=False):
@@ -154,11 +152,15 @@ def _check_structural(seed, fault=False):
     return max_fd_error(build, [a, b], fault=fault)
 
 
-def _check_exp(seed, fault=False):
+def _check_broadcast(seed, fault=False):
+    """A bias row added to a bag, then scaled by a [1, 1] gate probability."""
     rng = nc.rng_stream(seed)
-    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    w = rng.standard_normal((2, 3))
-    return max_fd_error(lambda: _weighted_sum(nc.exp(x), w), [x], fault=fault)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    bias = Tensor(rng.standard_normal(4), requires_grad=True)
+    prob = Tensor(rng.uniform(0.1, 1.0, (1, 1)), requires_grad=True)
+    w = rng.standard_normal((3, 4))
+    return max_fd_error(lambda: _weighted_sum(nc.mul(nc.add(x, bias), prob), w),
+                        [x, bias, prob], fault=fault)
 
 
 def _attention_instance(seed, d=6, heads=1):
@@ -215,9 +217,9 @@ def _check_attention_co(seed, fault=False):
                         _rotate(wiggle, seed), fault=fault)
 
 
-def _expert_instance(seed, d=6):
+def _expert_instance(seed, d=6, **layer_options):
     rng = nc.rng_stream(seed)
-    layer = MoMELayer.create(d, rng, n_bottleneck=2, dropout_rate=0.3)
+    layer = MoMELayer.create(d, rng, n_bottleneck=2, dropout_rate=0.3, **layer_options)
     f1 = Tensor(rng.standard_normal((3, d)), requires_grad=True)
     f2 = Tensor(rng.standard_normal((2, d)), requires_grad=True)
     w = rng.standard_normal((3, d))
@@ -286,6 +288,32 @@ def _check_dropf2(seed, fault=False):
     return reference_grad
 
 
+# Two enabled experts per instance: with one, the gate probability is the
+# constant 1 and the gate gets no gradient.
+_EXPERT_PAIRS = list(itertools.combinations(range(EXPERT_COUNT), 2))
+
+
+def _mome_layer_instance(seed):
+    """A two-head layer with two enabled experts. The pair advances once per
+    turn of ``_rotate`` over the four wiggled tensors, so every pair meets
+    every tensor."""
+    pair = _EXPERT_PAIRS[(seed // _SEED_STRIDE // 4) % len(_EXPERT_PAIRS)]
+    mask = tuple(i in pair for i in range(EXPERT_COUNT))
+    return _expert_instance(seed, head_count=2, enable_mask=mask)
+
+
+def _check_mome_layer(seed, fault=False):
+    layer, f1, f2, w = _mome_layer_instance(seed)
+
+    def build():
+        out = mome_forward(f1, f2, layer, training=True, rng=nc.rng_stream(seed + 5),
+                           key_chunk=2)
+        return _weighted_sum(out, w)
+
+    wiggle = [f1, f2, layer.gate.w1, layer.gate.w]
+    return max_fd_error(build, _rotate(wiggle, seed), fault=fault)
+
+
 def _check_nll(seed, fault=False):
     rng = nc.rng_stream(seed)
     logits = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
@@ -327,13 +355,12 @@ COMPONENTS = {
     "matmul": _check_matmul,
     "softmax": _check_softmax,
     "rmsnorm": _check_rmsnorm,
-    "gelu": _activation_check("gelu"),
-    "elu": _activation_check("elu"),
-    "sigmoid": _activation_check("sigmoid"),
+    "gelu": _activation_check(nc.gelu),
+    "elu": _activation_check(nc.elu),
     "alpha_dropout": _check_alpha_dropout,
     "pooling": _check_pooling,
     "structural": _check_structural,
-    "exp": _check_exp,
+    "broadcast": _check_broadcast,
     "attention_self": _check_attention_self,
     "attention_multihead": _check_attention_multihead,
     "attention_chunked": _check_attention_chunked,
@@ -344,6 +371,7 @@ COMPONENTS = {
     "bottleneck_transfusion": _check_bottleneck,
     "snnfusion": _check_snn,
     "dropf2": _check_dropf2,
+    "mome_layer": _check_mome_layer,
     "nll_loss": _check_nll,
     "model_composite": _check_model_composite,
 }
@@ -374,6 +402,10 @@ def run_suite(
     ``fault_component`` biases that component's analytic gradients, as a
     negative control that the comparison actually detects wrong math.
     """
+    if seeds < 1:
+        raise ConfigError(f"gradcheck needs at least one seed, got {seeds}")
+    if not 0 < tolerance < np.inf:
+        raise ConfigError(f"gradcheck tolerance must be positive and finite, got {tolerance}")
     names = list(COMPONENTS) if components is None else components
     unknown = [n for n in names if n not in COMPONENTS]
     if unknown:

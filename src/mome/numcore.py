@@ -7,6 +7,9 @@ valid topological order by construction; ``Tensor.backward`` walks the
 reachable subgraph in reverse creation order and accumulates gradients
 into every ``requires_grad`` leaf.
 
+The module holds only the primitives the model runs, and each of them is
+checked against central finite differences by :mod:`mome.gradcheck`.
+
 Conventions:
 
 * everything is float64; a NaN/Inf forward result raises ``NumericError``
@@ -248,18 +251,6 @@ def matmul(a, b) -> Tensor:
     return graph_op(out, (a, b), backward, "matmul")
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * out)
-
-    return graph_op(out, (a,), backward, "exp")
-
-
 def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = np.sum(a.data, axis=axis, keepdims=keepdims)
@@ -272,21 +263,6 @@ def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         accumulate_grad(a, np.broadcast_to(g, a.data.shape))
 
     return graph_op(np.asarray(out), (a,), backward, "sum")
-
-
-def reduce_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = np.mean(a.data, axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate_grad(a, np.broadcast_to(g, a.data.shape) / count)
-
-    return graph_op(np.asarray(out), (a,), backward, "mean")
 
 
 def mean_rows(a, keepdims: bool = True) -> Tensor:
@@ -429,28 +405,6 @@ def elu(x) -> Tensor:
             accumulate_grad(x, g * np.where(x.data > 0, 1.0, np.exp(x.data)))
 
     return graph_op(out, (x,), backward, "elu")
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out = special.expit(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            accumulate_grad(x, g * out * (1.0 - out))
-
-    return graph_op(out, (x,), backward, "sigmoid")
-
-
-_ACTIVATIONS = {"gelu": gelu, "elu": elu, "sigmoid": sigmoid}
-
-
-def activation(x, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation '{kind}' (expected one of {sorted(_ACTIVATIONS)})")
-    return fn(x)
 
 
 def alpha_dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -34,8 +34,8 @@ class SurvivalTarget:
     raw_time: float
 
     def __post_init__(self):
-        if self.raw_time <= 0:
-            raise DataError(f"raw_time must be positive, got {self.raw_time}")
+        if not 0 < self.raw_time < np.inf:
+            raise DataError(f"raw_time must be positive and finite, got {self.raw_time}")
         if self.bin < 0:
             raise DataError(f"bin index must be nonnegative, got {self.bin}")
 

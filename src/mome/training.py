@@ -136,7 +136,7 @@ def model_config_for(run: RunConfig, cohort: CohortData, fold: int) -> ModelConf
     return ModelConfig(**shared, d_in=cohort.d_in, group_sizes=cohort.group_sizes)
 
 
-class TrainingAbort(RuntimeError):
+class TrainingAbort(NumericError):
     """Raised when a non-finite loss ends a run; carries the sample id."""
 
     def __init__(self, sample_id: str, cause: Exception):
@@ -232,7 +232,7 @@ def train_fold(
                 loss = nll_loss(curve, cohort.targets[i])
                 nc.mul(loss, 1.0 / run.grad_accum).backward()
             except NumericError as err:
-                raise TrainingAbort(cohort.rows[i].sample_id, err)
+                raise TrainingAbort(cohort.rows[i].sample_id, err) from err
             epoch_losses.append(loss.item())
             epoch_risks[i] = risk_score(curve)
             pending += 1

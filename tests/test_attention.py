@@ -4,7 +4,6 @@ import pytest
 import mome.numcore as nc
 from mome.attention import (
     AttentionParams,
-    attention_weights,
     co_attention,
     cross_block_mask,
     scaled_dot_attention,
@@ -46,8 +45,6 @@ class TestSelfAttention:
         token = nc.Tensor(nc.rng_stream(2).standard_normal((1, 6)))
         out = self_attention(token, params)
         assert np.allclose(out.data, token.data @ params.value.data, atol=1e-14)
-        w = attention_weights(token, token, params)
-        assert w.shape == (1, 1, 1) and w[0, 0, 0] == 1.0
 
     def test_zero_query_gives_uniform_attention(self):
         rng = nc.rng_stream(3)
@@ -100,13 +97,6 @@ class TestSelfAttention:
         x = nc.Tensor(nc.rng_stream(10).standard_normal((4, 6)))
         with pytest.raises(ConfigError, match="heads"):
             scaled_dot_attention(x, x, x, 1.0, head_count=4)
-
-    def test_weight_rows_sum_to_one(self):
-        rng = nc.rng_stream(9)
-        params = make_params(8, 10, head_count=2)
-        tokens = nc.Tensor(rng.standard_normal((6, 8)))
-        w = attention_weights(tokens, tokens, params)
-        assert np.max(np.abs(w.sum(axis=2) - 1.0)) <= 1e-12
 
     def test_key_permutation_invariance(self):
         rng = nc.rng_stream(11)

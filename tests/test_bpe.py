@@ -11,7 +11,6 @@ from mome.bpe import (
     MoMEModel,
     load_checkpoint,
     save_checkpoint,
-    with_expert_mask,
 )
 from mome.errors import ConfigError, DataError, FormatError
 from mome.experts import ExpertId
@@ -373,7 +372,3 @@ class TestConfigValidation:
     def test_unknown_first_encoded_rejected(self):
         with pytest.raises(ConfigError):
             small_config(first_encoded="both")
-
-    def test_expert_mask_helper(self):
-        config = with_expert_mask(small_config(), (True, False, False, False))
-        assert config.enable_mask == (True, False, False, False)

@@ -7,6 +7,8 @@ import pytest
 import mome.cli as cli
 import mome.training as training
 from mome.data import read_manifest, synthesize_cohort
+from mome.errors import MomeError
+from mome.gradcheck import COMPONENTS, run_suite
 from mome.training import FoldResult, RunConfig, TrainSummary, TrainingAbort
 
 
@@ -125,7 +127,7 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "o"), "--seed", "5")
         assert captured["run"].seed == 5
 
-    def test_training_abort_maps_to_exit_one(self, cohort_dir, tmp_path, monkeypatch):
+    def test_training_abort_maps_to_exit_one(self, cohort_dir, tmp_path, monkeypatch, capsys):
         def exploding(run, manifest, out_dir, emit=None):
             raise TrainingAbort("s0003", ValueError("inf"))
 
@@ -133,6 +135,20 @@ class TestTrainCommand:
         code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
                        "--out", str(tmp_path / "o"))
         assert code == 1
+        assert capsys.readouterr().err == "error: non-finite loss at sample 's0003': inf\n"
+        assert issubclass(TrainingAbort, MomeError)
+
+    def test_non_finite_time_in_manifest_is_data_error(self, cohort_dir, tmp_path, capsys):
+        lines = (cohort_dir / "manifest.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[1:3] = [str(cohort_dir / name) for name in fields[1:3]]
+        fields[3] = "nan"
+        lines[1] = ",".join(fields)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--manifest", str(manifest), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "line 2: raw_time" in capsys.readouterr().err
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = run_cli("train", "--manifest", str(tmp_path / "none.csv"),
@@ -368,8 +384,17 @@ class TestGradcheckCommand:
     def test_unknown_component_is_usage_error(self):
         assert run_cli("gradcheck", "--component", "nope") == 2
 
-    def test_injected_fault_detected(self):
-        from mome.gradcheck import run_suite
+    @pytest.mark.parametrize("flags", [
+        ("--seeds", "0"), ("--seeds", "-3"), ("--tolerance", "0"), ("--tolerance", "-0.5"),
+        ("--tolerance", "inf"), ("--tolerance", "nan"),
+    ])
+    def test_vacuous_run_is_usage_error(self, flags, capsys):
+        assert run_cli("gradcheck", "--component", "matmul", *flags) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "gradcheck" in captured.err
 
-        results = run_suite(components=["softmax"], seeds=2, fault_component="softmax")
+    @pytest.mark.parametrize("name", list(COMPONENTS))
+    def test_injected_fault_detected(self, name):
+        results = run_suite(components=[name], seeds=2, fault_component=name)
         assert not results[0].passed

@@ -240,7 +240,27 @@ class TestManifest:
         write_manifest(path, rows)
         with pytest.raises(DataError):
             read_manifest(path)
-        assert len(read_manifest(path, check_files=False)) == 4
+
+    @pytest.mark.parametrize("raw_time", ["nan", "inf", "1e400", "-inf", "0.0"])
+    def test_non_finite_or_nonpositive_time_rejected_on_read(self, tmp_path, raw_time):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, self.make_rows(tmp_path))
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = raw_time
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 3: raw_time"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("raw_time", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_time_rejected_on_write(self, tmp_path, raw_time):
+        rows = self.make_rows(tmp_path)
+        rows[1].raw_time = raw_time
+        path = tmp_path / "manifest.csv"
+        with pytest.raises(DataError, match="'s1': raw_time"):
+            write_manifest(path, rows)
+        assert not path.exists()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

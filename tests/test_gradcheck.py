@@ -1,4 +1,7 @@
+import numpy as np
+
 import mome.gradcheck as gradcheck
+from mome.experts import ExpertId, gate
 
 
 def test_every_wiggled_tensor_is_differenced_over_the_suite_seeds(monkeypatch):
@@ -33,3 +36,20 @@ def test_every_wiggled_tensor_is_differenced_over_the_suite_seeds(monkeypatch):
             if positions != set(range(length)):
                 missed[name] = sorted(set(range(length)) - positions)
     assert not missed
+
+
+def test_mome_layer_routes_to_every_expert_with_a_clear_margin():
+    """Over the 100 suite seeds the routed-layer component sends some
+    instance to each expert, and no instance sits so close to a routing
+    tie that a difference step could flip the chosen expert."""
+    chosen, margins = set(), []
+    for s in range(100):
+        layer, f1, f2, _ = gradcheck._mome_layer_instance(
+            gradcheck._SEED_STRIDE * s + gradcheck._SEED_OFFSET
+        )
+        decision = gate(f1, f2, layer.gate, layer.enable_mask)
+        chosen.add(decision.expert)
+        enabled = np.sort(decision.logits.data[0][list(layer.enable_mask)])
+        margins.append(enabled[1] - enabled[0])
+    assert chosen == set(ExpertId)
+    assert min(margins) > 100 * gradcheck.DEFAULT_STEP

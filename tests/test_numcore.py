@@ -128,9 +128,8 @@ class TestRmsnorm:
 class TestActivations:
     def test_zero_points(self):
         z = nc.Tensor([[0.0]])
-        assert nc.activation(z, "gelu").item() == 0.0
-        assert nc.activation(z, "elu").item() == 0.0
-        assert nc.activation(z, "sigmoid").item() == 0.5
+        assert nc.gelu(z).item() == 0.0
+        assert nc.elu(z).item() == 0.0
 
     def test_gelu_one_is_normal_cdf(self):
         assert abs(nc.gelu(nc.Tensor([[1.0]])).item() - 0.8413447460685429) < 1e-12
@@ -139,21 +138,16 @@ class TestActivations:
         val = nc.elu(nc.Tensor([[-20.0]])).item()
         assert -1.0 < val <= -0.999999
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            nc.activation(nc.Tensor([[1.0]]), "relu")
-
-    @pytest.mark.parametrize("kind", ["gelu", "elu", "sigmoid"])
+    @pytest.mark.parametrize("kind", ["gelu", "elu"])
     def test_gradient(self, kind):
         rng = nc.rng_stream(8)
         x = nc.Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-        nc.reduce_sum(nc.activation(x, kind)).backward()
+        nc.reduce_sum({"gelu": nc.gelu, "elu": nc.elu}[kind](x)).backward()
         from scipy import special
 
         forward = {
             "gelu": lambda a: a * special.ndtr(a),
             "elu": lambda a: np.where(a > 0, a, np.expm1(a)),
-            "sigmoid": special.expit,
         }[kind]
 
         def f():
@@ -240,9 +234,9 @@ class TestBackward:
             assert rel_err(got[id(t)], num) <= 1e-4
 
     def test_non_finite_forward_raises(self):
-        x = nc.Tensor([[710.0]])
-        with pytest.raises(NumericError):
-            nc.exp(x)
+        x = nc.Tensor([[1e200]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="'mul'"):
+            nc.mul(x, x)
 
     def test_determinism_bit_exact(self):
         def run():

@@ -41,6 +41,13 @@ def brute_force_c_index(risks, targets):
     return concordant / total
 
 
+class TestSurvivalTarget:
+    @pytest.mark.parametrize("raw_time", [0.0, -1.0, np.nan, np.inf, float("1e400")])
+    def test_time_must_be_positive_and_finite(self, raw_time):
+        with pytest.raises(DataError, match="raw_time"):
+            SurvivalTarget(bin=0, censored=False, raw_time=raw_time)
+
+
 class TestHazardsFromLogits:
     def test_no_hazard_limit(self):
         curve = curve_from([-50.0] * 4)
