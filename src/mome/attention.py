@@ -1,12 +1,19 @@
 """Self-attention and co-attention kernels over token bags.
 
-Both kernels share one fused scaled-dot-product op whose forward streams
-over key blocks with an online log-sum-exp accumulator, so the full
-score matrix never has to be materialized. The streamed result is exact
-(not an approximation): for any block size it matches the dense
-computation to accumulation roundoff. The same op splits the heads: it
-walks each head's column slice of the projected queries, keys and values
-inside one graph node, so H heads cost no extra nodes.
+Both kernels share one fused scaled-dot-product op. It walks the queries
+in fixed tiles of ``QUERY_TILE`` rows and, for each tile, streams over
+key blocks with an online log-sum-exp accumulator, so at most
+``QUERY_TILE`` x ``key_chunk`` scores exist at once and the full score
+matrix is never materialized. The streamed result is exact (not an
+approximation): for any block size it matches the dense computation to
+accumulation roundoff. The same op splits the heads: it walks each
+head's column slice of the projected queries, keys and values inside one
+graph node, so H heads cost no extra nodes.
+
+Because the tile size is fixed, a caller that keeps only a prefix of the
+query rows (``self_attention(..., rows=k)``) runs exactly the tile
+products that cover those rows in the full computation, so the kept rows
+and every gradient equal "full, then slice" bit for bit.
 
 The cross-modal embedding identity is shipped as an executable check:
 concatenated self-attention contains co-attention as the cross block of
@@ -23,6 +30,10 @@ import numpy as np
 from . import numcore as nc
 from .errors import ConfigError, DataError, DegenerateAttentionError, ShapeError
 from .numcore import Tensor
+
+# Query rows per tile of the kernel's outer loop. A fixed size, not an
+# option: pruned and full calls must run the same tile products.
+QUERY_TILE = 256
 
 
 @dataclass
@@ -100,10 +111,15 @@ def scaled_dot_attention(
 
     With ``head_count`` H the columns of q, k and v split into H equal
     slices; head h attends with slice h of each and writes slice h of the
-    output. With ``key_chunk`` set the forward pass streams over key
-    blocks of that size using a running row maximum and running
-    normalizer; the backward pass re-walks the same blocks, so peak
-    memory stays at n_queries x key_chunk scores.
+    output. The queries run in tiles of ``QUERY_TILE`` rows, each with its
+    own running row maximum and running normalizer. With ``key_chunk`` set
+    the forward pass streams each tile over key blocks of that size; the
+    backward pass re-walks the same tiles and blocks, accumulating the key
+    and value gradients tile by tile, so peak memory stays at
+    ``QUERY_TILE`` x ``key_chunk`` scores. A q that holds only the first
+    tiles of a longer query bag therefore yields the first rows of the
+    longer call's output, and of its key and value gradients when the
+    dropped rows carry no output gradient, bit for bit.
     """
     n, d = q.shape
     m, d_v = v.shape
@@ -115,6 +131,7 @@ def scaled_dot_attention(
         raise ConfigError(f"widths {d} and {d_v} do not split into {head_count} heads")
     block = m if key_chunk is None else min(key_chunk, m)
     bounds = [(s, min(s + block, m)) for s in range(0, m, block)]
+    tiles = [(s, min(s + QUERY_TILE, n)) for s in range(0, n, QUERY_TILE)]
     dh, dvh = d // head_count, d_v // head_count
 
     out = np.empty((n, d_v))
@@ -123,24 +140,29 @@ def scaled_dot_attention(
         qk, vc = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
         qd, kd = np.ascontiguousarray(q.data[:, qk]), np.ascontiguousarray(k.data[:, qk])
         vd = np.ascontiguousarray(v.data[:, vc])
-        row_max = np.full(n, -np.inf)
-        normalizer = np.zeros(n)
-        acc = np.zeros((n, dvh))
-        for start, stop in bounds:
-            scores = qd @ kd[start:stop].T * scale
-            if mask is not None:
-                scores = scores + mask[:, start:stop]
-            with np.errstate(invalid="ignore"):
-                new_max = np.maximum(row_max, scores.max(axis=1))
-                carried = np.where(np.isneginf(new_max), 1.0, np.exp(row_max - new_max))
-                probs = np.where(np.isneginf(new_max)[:, None], 0.0,
-                                 np.exp(scores - new_max[:, None]))
-            normalizer = normalizer * carried + probs.sum(axis=1)
-            acc = acc * carried[:, None] + probs @ vd[start:stop]
-            row_max = new_max
-        if np.any(normalizer == 0.0):
-            raise DegenerateAttentionError("attention normalizer vanished for a fully masked row")
-        out[:, vc] = acc / normalizer[:, None]
+        row_max, normalizer = np.empty(n), np.empty(n)
+        for t0, t1 in tiles:
+            qt = qd[t0:t1]
+            tile_max = np.full(t1 - t0, -np.inf)
+            tile_norm = np.zeros(t1 - t0)
+            acc = np.zeros((t1 - t0, dvh))
+            for start, stop in bounds:
+                scores = qt @ kd[start:stop].T * scale
+                if mask is not None:
+                    scores = scores + mask[t0:t1, start:stop]
+                with np.errstate(invalid="ignore"):
+                    new_max = np.maximum(tile_max, scores.max(axis=1))
+                    carried = np.where(np.isneginf(new_max), 1.0, np.exp(tile_max - new_max))
+                    probs = np.where(np.isneginf(new_max)[:, None], 0.0,
+                                     np.exp(scores - new_max[:, None]))
+                tile_norm = tile_norm * carried + probs.sum(axis=1)
+                acc = acc * carried[:, None] + probs @ vd[start:stop]
+                tile_max = new_max
+            if np.any(tile_norm == 0.0):
+                raise DegenerateAttentionError(
+                    "attention normalizer vanished for a fully masked row")
+            out[t0:t1, vc] = acc / tile_norm[:, None]
+            row_max[t0:t1], normalizer[t0:t1] = tile_max, tile_norm
         heads.append((qk, vc, qd, kd, vd, row_max, normalizer))
 
     def backward(g):
@@ -149,20 +171,23 @@ def scaled_dot_attention(
         dv = np.zeros_like(v.data) if v.requires_grad else None
         for qk, vc, qd, kd, vd, row_max, normalizer in heads:
             gh = np.ascontiguousarray(g[:, vc])
-            delta = np.sum(gh * out[:, vc], axis=1)
-            for start, stop in bounds:
-                scores = qd @ kd[start:stop].T * scale
-                if mask is not None:
-                    scores = scores + mask[:, start:stop]
-                probs = np.exp(scores - row_max[:, None]) / normalizer[:, None]
-                if dv is not None:
-                    dv[start:stop, vc] += probs.T @ gh
-                if dq is not None or dk is not None:
-                    dscores = probs * (gh @ vd[start:stop].T - delta[:, None])
-                    if dq is not None:
-                        dq[:, qk] += dscores @ kd[start:stop] * scale
-                    if dk is not None:
-                        dk[start:stop, qk] += dscores.T @ qd * scale
+            for t0, t1 in tiles:
+                qt, gt = qd[t0:t1], gh[t0:t1]
+                tile_max, tile_norm = row_max[t0:t1], normalizer[t0:t1]
+                delta = np.sum(gt * out[t0:t1, vc], axis=1)
+                for start, stop in bounds:
+                    scores = qt @ kd[start:stop].T * scale
+                    if mask is not None:
+                        scores = scores + mask[t0:t1, start:stop]
+                    probs = np.exp(scores - tile_max[:, None]) / tile_norm[:, None]
+                    if dv is not None:
+                        dv[start:stop, vc] += probs.T @ gt
+                    if dq is not None or dk is not None:
+                        dscores = probs * (gt @ vd[start:stop].T - delta[:, None])
+                        if dq is not None:
+                            dq[t0:t1, qk] += dscores @ kd[start:stop] * scale
+                        if dk is not None:
+                            dk[start:stop, qk] += dscores.T @ qt * scale
         if dq is not None:
             nc.accumulate_grad(q, dq)
         if dk is not None:
@@ -179,13 +204,25 @@ def _attend(
     params: AttentionParams,
     mask: np.ndarray | None,
     key_chunk: int | None,
+    rows: int | None = None,
 ) -> Tensor:
     xq = nc.matmul(queries_from, params.query)
     xk = nc.matmul(keys_from, params.key)
     xv = nc.matmul(keys_from, params.value)
+    n = xq.shape[0]
+    rows = n if rows is None else rows
+    # Q is projected for every row and then cut: projecting a row subset
+    # would be a smaller product, which BLAS may round differently.
+    covered = min(n, -(-rows // QUERY_TILE) * QUERY_TILE)
+    if covered < n:
+        xq = nc.slice_rows(xq, 0, covered)
+        if mask is not None:
+            mask = mask[:covered]
     scale = 1.0 / np.sqrt(params.width // params.head_count)
     out = scaled_dot_attention(xq, xk, xv, scale, mask, key_chunk, params.head_count)
-    return out if params.out_proj is None else nc.matmul(out, params.out_proj)
+    if params.out_proj is not None:
+        out = nc.matmul(out, params.out_proj)
+    return out if rows == covered else nc.slice_rows(out, 0, rows)
 
 
 def self_attention(
@@ -193,16 +230,25 @@ def self_attention(
     params: AttentionParams,
     mask: np.ndarray | None = None,
     key_chunk: int | None = None,
+    rows: int | None = None,
 ) -> Tensor:
-    """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head + mask)(XV)."""
+    """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head + mask)(XV).
+
+    With ``rows`` set, only the first ``rows`` output rows are returned and
+    the kernel computes only the query tiles that cover them. The result
+    and every gradient equal the full output sliced to those rows, bit for
+    bit.
+    """
     if tokens.ndim != 2 or tokens.shape[1] != params.width:
         raise ShapeError(f"token bag shape {tokens.shape} does not match width {params.width}")
     n = tokens.shape[0]
     if n < 1:
         raise DataError("self_attention needs at least one token")
+    if rows is not None and not 1 <= rows <= n:
+        raise ShapeError(f"cannot keep {rows} rows of a {n}-token bag")
     if mask is not None:
         mask = _validate_mask(mask, n, n)
-    return _attend(tokens, tokens, params, mask, key_chunk)
+    return _attend(tokens, tokens, params, mask, key_chunk, rows)
 
 
 def co_attention(

@@ -264,8 +264,7 @@ class MoMEModel:
             f_patho, f_geno = f2, f1
 
         tokens = nc.concat_rows([self.cls_token, f_patho, f_geno])
-        attended = self_attention(tokens, self.readout, key_chunk=key_chunk)
-        cls_out = nc.slice_rows(attended, 0, 1)
+        cls_out = self_attention(tokens, self.readout, key_chunk=key_chunk, rows=1)
         return nc.add(nc.matmul(cls_out, self.head_w), self.head_b)
 
 

@@ -243,8 +243,9 @@ def transfusion(
     f1: Tensor, f2: Tensor, params: AttentionParams, key_chunk: int | None = None
 ) -> Tensor:
     """Self-attend over the stacked bags, keep the encoded modality's rows."""
-    fused = self_attention(nc.concat_rows([f1, f2]), params, key_chunk=key_chunk)
-    return nc.slice_rows(fused, 0, f1.shape[0])
+    return self_attention(
+        nc.concat_rows([f1, f2]), params, key_chunk=key_chunk, rows=f1.shape[0]
+    )
 
 
 def bottleneck_transfusion(
@@ -261,12 +262,12 @@ def bottleneck_transfusion(
     bottleneck rows; stage two self-attends over [f1; refreshed] and
     keeps the f1 rows.
     """
-    n_b = bottleneck.shape[0]
-    refreshed = nc.slice_rows(
-        self_attention(nc.concat_rows([bottleneck, f2]), inner, key_chunk=key_chunk), 0, n_b
+    refreshed = self_attention(
+        nc.concat_rows([bottleneck, f2]), inner, key_chunk=key_chunk, rows=bottleneck.shape[0]
     )
-    fused = self_attention(nc.concat_rows([f1, refreshed]), outer, key_chunk=key_chunk)
-    return nc.slice_rows(fused, 0, f1.shape[0])
+    return self_attention(
+        nc.concat_rows([f1, refreshed]), outer, key_chunk=key_chunk, rows=f1.shape[0]
+    )
 
 
 def snnfusion(

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .attention import AttentionParams, co_attention, cross_block_mask, self_attention
+from .attention import (QUERY_TILE, AttentionParams, co_attention, cross_block_mask,
+                        self_attention)
 from .bpe import GenomicGroups, ModelConfig, MoMEModel
 from .errors import ConfigError
 from .experts import (EXPERT_COUNT, MoMELayer, bottleneck_transfusion, dropf2fusion, gate,
@@ -206,6 +207,18 @@ def _check_attention_masked(seed, fault=False):
     )
 
 
+def _check_attention_pruned(seed, fault=False):
+    """A bag one tile and two rows long, keeping a one-row prefix: the
+    kernel runs the first query tile only and skips the second."""
+    rng = nc.rng_stream(seed)
+    params = AttentionParams.create(6, rng)
+    tokens = Tensor(rng.standard_normal((QUERY_TILE + 2, 6)))
+    w = rng.standard_normal((1, 6))
+    wiggle = [params.query, params.key, params.value]
+    return max_fd_error(lambda: _weighted_sum(self_attention(tokens, params, rows=1), w),
+                        _rotate(wiggle, seed), fault=fault)
+
+
 def _check_attention_co(seed, fault=False):
     rng = nc.rng_stream(seed)
     params = AttentionParams.create(6, rng)
@@ -365,6 +378,7 @@ COMPONENTS = {
     "attention_multihead": _check_attention_multihead,
     "attention_chunked": _check_attention_chunked,
     "attention_masked": _check_attention_masked,
+    "attention_pruned": _check_attention_pruned,
     "attention_co": _check_attention_co,
     "gate": _check_gate,
     "transfusion": _check_transfusion,

@@ -458,7 +458,9 @@ def adam_step(
     """One Adam update with bias correction, in place on ``params``.
 
     Weight decay is coupled: an L2 term added to the gradient before the
-    moment updates. Parameters whose gradient is None are skipped.
+    moment updates. Parameters whose gradient is None are skipped. A
+    non-finite update raises ``NumericError`` naming the parameter's index
+    before that parameter is written.
     """
     if state.lr <= 0:
         raise ConfigError("Adam learning rate must be positive")
@@ -472,7 +474,7 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for index, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if g is None:
             continue
         if g.shape != p.data.shape:
@@ -484,6 +486,8 @@ def adam_step(
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if not np.isfinite(update).all():
+            raise NumericError(f"non-finite update produced by 'adam_step' for parameter {index}")
         p.data -= update
     return state
 

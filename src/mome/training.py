@@ -136,8 +136,16 @@ def model_config_for(run: RunConfig, cohort: CohortData, fold: int) -> ModelConf
     return ModelConfig(**shared, d_in=cohort.d_in, group_sizes=cohort.group_sizes)
 
 
+def _quiet_floating_point():
+    """Silence numpy's overflow, invalid and divide warnings: in a
+    diverging step the typed finite checks (``NumericError``,
+    ``TrainingAbort``) already own the outcome."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 class TrainingAbort(NumericError):
-    """Raised when a non-finite loss ends a run; carries the sample id."""
+    """Raised when a non-finite value in a training step (forward, backward
+    or optimizer update) ends a run; carries the sample id."""
 
     def __init__(self, sample_id: str, cause: Exception):
         super().__init__(f"non-finite loss at sample '{sample_id}': {cause}")
@@ -157,7 +165,7 @@ def evaluate(
     ``NumericError`` naming the op and the sample that produced it.
     """
     losses, risks = [], []
-    with nc.no_grad():
+    with nc.no_grad(), _quiet_floating_point():
         for i in indices:
             sample_id = cohort.rows[i].sample_id
             try:
@@ -217,29 +225,30 @@ def train_fold(
         rng_stream(derive_seed(run.seed, fold, epoch, 7)).shuffle(order)
         epoch_losses, epoch_risks, pending = [], {}, 0
         optimizer.zero_grad()
-        for step, i in enumerate(order):
-            sample_rng = rng_stream(derive_seed(run.seed, fold, epoch, i))
-            try:
-                logits = model.forward(
-                    cohort.bags[i],
-                    cohort.genomics[i],
-                    training=True,
-                    rng=sample_rng,
-                    sample_id=cohort.rows[i].sample_id,
-                    key_chunk=run.key_chunk,
-                )
-                curve = hazards_from_logits(logits)
-                loss = nll_loss(curve, cohort.targets[i])
-                nc.mul(loss, 1.0 / run.grad_accum).backward()
-            except NumericError as err:
-                raise TrainingAbort(cohort.rows[i].sample_id, err) from err
-            epoch_losses.append(loss.item())
-            epoch_risks[i] = risk_score(curve)
-            pending += 1
-            if pending == run.grad_accum or step == len(order) - 1:
-                optimizer.step()
-                optimizer.zero_grad()
-                pending = 0
+        with _quiet_floating_point():
+            for step, i in enumerate(order):
+                sample_rng = rng_stream(derive_seed(run.seed, fold, epoch, i))
+                try:
+                    logits = model.forward(
+                        cohort.bags[i],
+                        cohort.genomics[i],
+                        training=True,
+                        rng=sample_rng,
+                        sample_id=cohort.rows[i].sample_id,
+                        key_chunk=run.key_chunk,
+                    )
+                    curve = hazards_from_logits(logits)
+                    loss = nll_loss(curve, cohort.targets[i])
+                    nc.mul(loss, 1.0 / run.grad_accum).backward()
+                    pending += 1
+                    if pending == run.grad_accum or step == len(order) - 1:
+                        optimizer.step()
+                        optimizer.zero_grad()
+                        pending = 0
+                except NumericError as err:
+                    raise TrainingAbort(cohort.rows[i].sample_id, err) from err
+                epoch_losses.append(loss.item())
+                epoch_risks[i] = risk_score(curve)
         train_record = MetricsRecord(
             fold=fold,
             epoch=epoch,

@@ -3,6 +3,7 @@ import pytest
 
 import mome.numcore as nc
 from mome.attention import (
+    QUERY_TILE,
     AttentionParams,
     co_attention,
     cross_block_mask,
@@ -168,6 +169,54 @@ class TestChunkedAttention:
             grads.append((tokens.grad, params.query.grad, params.key.grad, params.value.grad))
         for full, chunked in zip(*grads):
             assert np.max(np.abs(full - chunked)) <= 1e-10
+
+
+class TestPrunedQueryRows:
+    """``rows=k`` runs only the query tiles that cover the first k rows; the
+    output and every gradient must equal "full, then slice" bit for bit."""
+
+    @staticmethod
+    def assert_pruned_equals_sliced(n, heads, key_chunk, kept, mask=None):
+        rng = nc.rng_stream(n)
+        params = make_params(8, n + 1, head_count=heads)
+        tokens = nc.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+        named = [("tokens", tokens)] + params.parameters("attention")
+
+        def outputs(build, weights):
+            for _, t in named:
+                t.grad = None
+            out = build()
+            nc.reduce_sum(nc.mul(out, nc.Tensor(weights))).backward()
+            return [("output", out.data)] + [(name, t.grad) for name, t in named]
+
+        for k in kept:
+            weights = rng.standard_normal((k, 8))
+            pruned = outputs(
+                lambda: self_attention(tokens, params, mask, key_chunk, rows=k), weights)
+            sliced = outputs(
+                lambda: nc.slice_rows(self_attention(tokens, params, mask, key_chunk), 0, k),
+                weights)
+            for (name, a), (_, b) in zip(pruned, sliced):
+                assert np.array_equal(a, b), f"rows={k}: {name}"
+
+    @pytest.mark.parametrize("key_chunk", [None, 512], ids=["dense", "chunk512"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 513, 2589])
+    def test_pruned_equals_full_then_slice(self, n, heads, key_chunk):
+        kept = sorted({k for k in (1, 6, QUERY_TILE, QUERY_TILE + 1, n) if k <= n})
+        self.assert_pruned_equals_sliced(n, heads, key_chunk, kept)
+
+    def test_pruned_equals_full_then_slice_under_cross_block_mask(self):
+        n1, n2 = 300, 6
+        self.assert_pruned_equals_sliced(
+            n1 + n2, 1, 64, [1, 6, QUERY_TILE, QUERY_TILE + 1, n1], cross_block_mask(n1, n2))
+
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_rows_outside_the_bag_rejected(self, rows):
+        params = make_params(4, 50)
+        tokens = nc.Tensor(nc.rng_stream(51).standard_normal((3, 4)))
+        with pytest.raises(ShapeError, match="rows"):
+            self_attention(tokens, params, rows=rows)
 
 
 class TestCoAttention:

@@ -217,6 +217,27 @@ class TestForward:
         expected = nc.add(nc.matmul(cls_row, model.head_w), model.head_b).data
         assert np.array_equal(out, expected)
 
+    def test_kernel_computes_only_the_query_tiles_callers_keep(self, monkeypatch):
+        """TF-only, two rounds: the two layers that encode the bag keep n of
+        n+6 rows, while the two that encode the genomic groups (6 rows) and
+        the readout (1 row) each run one query tile."""
+        import mome.attention as attention
+
+        kernel, queries = attention.scaled_dot_attention, []
+
+        def counting_kernel(q, *args, **kwargs):
+            queries.append(q.shape[0])
+            return kernel(q, *args, **kwargs)
+
+        monkeypatch.setattr(attention, "scaled_dot_attention", counting_kernel)
+        config = small_config(enable_mask=(True, False, False, False))
+        n = 1750
+        patches = nc.rng_stream(19).standard_normal((n, config.d_in))
+        _, groups = random_sample(config, seed=20)
+        MoMEModel(config).forward(patches, groups, key_chunk=512)
+        assert len(queries) == 5
+        assert sum(queries) == 2 * (n + 6) + 3 * attention.QUERY_TILE
+
     def test_first_encoded_genomics_round_order(self):
         config = small_config(first_encoded="genomics", rounds=1)
         model = MoMEModel(config)

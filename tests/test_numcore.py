@@ -296,6 +296,18 @@ class TestAdam:
         nc.adam_step([p], [np.zeros((1, 1))], nc.AdamState(lr=1e-2, weight_decay=0.1))
         assert p.data[0, 0] < 1.0
 
+    def test_non_finite_update_raises_before_the_write(self):
+        """A gradient near 1e308 overflows both moments, so the update is
+        inf/inf; it must not reach the parameter."""
+        fine = nc.Tensor([[1.0]], requires_grad=True)
+        huge = nc.Tensor([[1.0, 2.0]], requires_grad=True)
+        before = huge.data.copy()
+        raises = pytest.raises(NumericError, match="'adam_step' for parameter 1")
+        with raises, np.errstate(over="ignore", invalid="ignore"):
+            nc.adam_step([fine, huge], [np.ones((1, 1)), np.full((1, 2), 1e308)],
+                         nc.AdamState(lr=10.0, weight_decay=0.0))
+        assert np.array_equal(huge.data, before)
+
     def test_none_grad_skipped(self):
         p = nc.Tensor([[1.0]], requires_grad=True)
         before = p.data.copy()

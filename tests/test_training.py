@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mome.training import (
     routing_statistics,
     train_cohort,
     train_fold,
+    TrainingAbort,
 )
 
 SMALL_RUN = dict(d=8, epochs=2, time_bins=3, dropout_rate=0.1, seed=11)
@@ -177,8 +179,24 @@ class TestRunConfigRanges:
         assert RunConfig(key_chunk=None).key_chunk is None
 
 
+class TestDivergingRun:
+    def test_abort_is_typed_and_prints_no_numpy_warnings(self, tmp_path):
+        """At lr 1e6 the third fold's Adam update overflows to inf/inf; the
+        abort names ``adam_step`` instead of the next sample's op, and the
+        overflows on the way there raise no ``RuntimeWarning``."""
+        manifest = synthesize_cohort(24, 32, 32, "patho", 0.3, seed=0, out_dir=tmp_path,
+                                     folds=3)
+        run = RunConfig(lr=1e6, d=16, epochs=3, folds=3)
+        cohort = load_cohort(manifest, run.time_bins)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingAbort, match="'adam_step' for parameter"):
+                for fold in range(3):
+                    train_fold(run, cohort, fold, tmp_path / "out")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestEvaluateNumericError:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_names_the_first_failing_sample(self, tmp_path):
         cohort = load_cohort(synthesize_cohort(12, 6, 8, "geno", 0.25, seed=8, out_dir=tmp_path,
                                                folds=3), time_bins=3)
