@@ -11,6 +11,7 @@ from mome.numcore import Adam
 from mome.training import (
     MetricsRecord,
     RunConfig,
+    TrainingAbort,
     derive_seed,
     evaluate,
     format_metrics_record,
@@ -19,7 +20,6 @@ from mome.training import (
     routing_statistics,
     train_cohort,
     train_fold,
-    TrainingAbort,
 )
 
 SMALL_RUN = dict(d=8, epochs=2, time_bins=3, dropout_rate=0.1, seed=11)
