@@ -15,10 +15,12 @@ query rows (``self_attention(..., rows=k)``) runs exactly the tile
 products that cover those rows in the full computation, so the kept rows
 and every gradient equal "full, then slice" bit for bit.
 
-The cross-modal embedding identity is shipped as an executable check:
-concatenated self-attention contains co-attention as the cross block of
-its score matrix, and masking the query modality's self block recovers
-co-attention exactly. See :func:`verify_ca_embedding`.
+The kernel takes no mask: the model never hides a score. The cross-modal
+embedding identity is shipped as an executable check instead: concatenated
+self-attention contains co-attention as the cross block of its score
+matrix, and a dense softmax with the query modality's self block masked
+out (:func:`cross_block_mask`) matches the kernel's co-attention. See
+:func:`verify_ca_embedding`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, DataError, DegenerateAttentionError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .numcore import Tensor
 
 # Query rows per tile of the kernel's outer loop. A fixed size, not an
@@ -86,28 +88,15 @@ class AttentionParams:
         return named
 
 
-def _validate_mask(mask: np.ndarray, n_queries: int, n_keys: int) -> np.ndarray:
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (n_queries, n_keys):
-        raise ShapeError(f"mask shape {mask.shape} does not match scores ({n_queries}, {n_keys})")
-    ok = (mask == 0.0) | np.isneginf(mask)
-    if not np.all(ok):
-        raise ConfigError("attention mask entries must be 0 or -inf")
-    if np.any(np.all(np.isneginf(mask), axis=1)):
-        raise DegenerateAttentionError("a query row is fully masked")
-    return mask
-
-
 def scaled_dot_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     scale: float,
-    mask: np.ndarray | None = None,
     key_chunk: int | None = None,
     head_count: int = 1,
 ) -> Tensor:
-    """softmax(q kᵀ · scale + mask) v per head, as one fused, differentiable op.
+    """softmax(q kᵀ · scale) v per head, as one fused, differentiable op.
 
     With ``head_count`` H the columns of q, k and v split into H equal
     slices; head h attends with slice h of each and writes slice h of the
@@ -148,19 +137,13 @@ def scaled_dot_attention(
             acc = np.zeros((t1 - t0, dvh))
             for start, stop in bounds:
                 scores = qt @ kd[start:stop].T * scale
-                if mask is not None:
-                    scores = scores + mask[t0:t1, start:stop]
-                with np.errstate(invalid="ignore"):
-                    new_max = np.maximum(tile_max, scores.max(axis=1))
-                    carried = np.where(np.isneginf(new_max), 1.0, np.exp(tile_max - new_max))
-                    probs = np.where(np.isneginf(new_max)[:, None], 0.0,
-                                     np.exp(scores - new_max[:, None]))
+                new_max = np.maximum(tile_max, scores.max(axis=1))
+                # First block: exp(-inf - finite) is an exact 0, no warning.
+                carried = np.exp(tile_max - new_max)
+                probs = np.exp(scores - new_max[:, None])
                 tile_norm = tile_norm * carried + probs.sum(axis=1)
                 acc = acc * carried[:, None] + probs @ vd[start:stop]
                 tile_max = new_max
-            if np.any(tile_norm == 0.0):
-                raise DegenerateAttentionError(
-                    "attention normalizer vanished for a fully masked row")
             out[t0:t1, vc] = acc / tile_norm[:, None]
             row_max[t0:t1], normalizer[t0:t1] = tile_max, tile_norm
         heads.append((qk, vc, qd, kd, vd, row_max, normalizer))
@@ -177,8 +160,6 @@ def scaled_dot_attention(
                 delta = np.sum(gt * out[t0:t1, vc], axis=1)
                 for start, stop in bounds:
                     scores = qt @ kd[start:stop].T * scale
-                    if mask is not None:
-                        scores = scores + mask[t0:t1, start:stop]
                     probs = np.exp(scores - tile_max[:, None]) / tile_norm[:, None]
                     if dv is not None:
                         dv[start:stop, vc] += probs.T @ gt
@@ -202,7 +183,6 @@ def _attend(
     queries_from: Tensor,
     keys_from: Tensor,
     params: AttentionParams,
-    mask: np.ndarray | None,
     key_chunk: int | None,
     rows: int | None = None,
 ) -> Tensor:
@@ -216,10 +196,9 @@ def _attend(
     covered = min(n, -(-rows // QUERY_TILE) * QUERY_TILE)
     if covered < n:
         xq = nc.slice_rows(xq, 0, covered)
-        if mask is not None:
-            mask = mask[:covered]
     scale = 1.0 / np.sqrt(params.width // params.head_count)
-    out = scaled_dot_attention(xq, xk, xv, scale, mask, key_chunk, params.head_count)
+    out = scaled_dot_attention(xq, xk, xv, scale, key_chunk=key_chunk,
+                               head_count=params.head_count)
     if params.out_proj is not None:
         out = nc.matmul(out, params.out_proj)
     return out if rows == covered else nc.slice_rows(out, 0, rows)
@@ -228,11 +207,10 @@ def _attend(
 def self_attention(
     tokens: Tensor,
     params: AttentionParams,
-    mask: np.ndarray | None = None,
     key_chunk: int | None = None,
     rows: int | None = None,
 ) -> Tensor:
-    """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head + mask)(XV).
+    """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head)(XV).
 
     With ``rows`` set, only the first ``rows`` output rows are returned and
     the kernel computes only the query tiles that cover them. The result
@@ -246,9 +224,7 @@ def self_attention(
         raise DataError("self_attention needs at least one token")
     if rows is not None and not 1 <= rows <= n:
         raise ShapeError(f"cannot keep {rows} rows of a {n}-token bag")
-    if mask is not None:
-        mask = _validate_mask(mask, n, n)
-    return _attend(tokens, tokens, params, mask, key_chunk, rows)
+    return _attend(tokens, tokens, params, key_chunk, rows)
 
 
 def co_attention(
@@ -263,11 +239,14 @@ def co_attention(
             raise DataError(f"co_attention needs a nonempty rank-2 {name} bag")
         if bag.shape[1] != params.width:
             raise ShapeError(f"{name} width {bag.shape[1]} does not match {params.width}")
-    return _attend(f1, f2, params, None, key_chunk)
+    return _attend(f1, f2, params, key_chunk)
 
 
 def cross_block_mask(n1: int, n2: int) -> np.ndarray:
-    """Additive mask over [F1; F2] tokens that hides the F1->F1 block."""
+    """Additive mask over [F1; F2] scores that hides the F1->F1 block.
+
+    Only the dense reference of :func:`verify_ca_embedding` applies it.
+    """
     mask = np.zeros((n1 + n2, n1 + n2))
     mask[:n1, :n1] = -np.inf
     return mask
@@ -298,11 +277,13 @@ def verify_ca_embedding(
 
     Two facts are verified with shared single-head weights: (a) the
     pre-softmax cross block of the concatenated score matrix equals the
-    co-attention scores, and (b) self-attention with the query modality's
-    own block masked out, restricted to the first n1 rows, equals
-    co-attention. ``ca_params`` substitutes different weights on the
-    co-attention side (useful as a negative control) and defaults to the
-    shared ones.
+    co-attention scores, and (b) a dense numpy softmax of that score
+    matrix with the query modality's own block masked out, restricted to
+    the first n1 rows and applied to the stacked values, equals the
+    kernel's co-attention. Part (b) checks the streaming kernel against an
+    independent reference. ``ca_params`` substitutes different weights on
+    the co-attention side (useful as a negative control) and defaults to
+    the shared ones.
     """
     if params.head_count != 1:
         raise ConfigError("the embedding identity is checked for a single head")
@@ -315,11 +296,12 @@ def verify_ca_embedding(
         ca_scores = (f1.data @ ca.query.data) @ (f2.data @ ca.key.data).T * scale
         score_dev = float(np.max(np.abs(full_scores[:n1, n1:] - ca_scores)))
 
-        masked = self_attention(
-            nc.concat_rows([f1, f2]), params, mask=cross_block_mask(n1, n2)
-        )
+        masked = (full_scores + cross_block_mask(n1, n2))[:n1]
+        weights = np.exp(masked - masked.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        reference = weights @ (stacked @ params.value.data)
         co = co_attention(f1, f2, ca)
-        output_dev = float(np.max(np.abs(masked.data[:n1] - co.data)))
+        output_dev = float(np.max(np.abs(reference - co.data)))
     return CaEquivalenceReport(
         ok=score_dev <= score_tol and output_dev <= output_tol,
         score_block_dev=score_dev,

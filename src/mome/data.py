@@ -425,6 +425,8 @@ def synthesize_cohort(
         raise ConfigError(f"signal must be one of {SIGNALS}, got '{signal}'")
     if n_patches < 1 or dim < 1:
         raise ConfigError("n_patches and dim must be positive")
+    if not 2 <= folds <= n_samples:
+        raise ConfigError(f"folds must be in [2, {n_samples}], got {folds}")
 
     os.makedirs(out_dir, exist_ok=True)
     cohort_rng = rng_stream(seed ^ _COHORT_STREAM_SALT)

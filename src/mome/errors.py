@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration and usage
 problems exit 2, data and file-format problems exit 3, numeric or
-tolerance failures exit 1.
+tolerance failures exit 1. Numeric failures have no subclass per cause:
+a ``NumericError`` names the op whose result was not finite.
 """
 
 
@@ -24,10 +25,6 @@ class UsageError(MomeError):
 
 class NumericError(MomeError):
     """A forward computation produced NaN or Inf."""
-
-
-class DegenerateAttentionError(NumericError):
-    """An attention row was fully masked, so its weights are undefined."""
 
 
 class DataError(MomeError):

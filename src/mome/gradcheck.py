@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .attention import (QUERY_TILE, AttentionParams, co_attention, cross_block_mask,
-                        self_attention)
+from .attention import QUERY_TILE, AttentionParams, co_attention, self_attention
 from .bpe import GenomicGroups, ModelConfig, MoMEModel
 from .errors import ConfigError
 from .experts import (EXPERT_COUNT, MoMELayer, bottleneck_transfusion, dropf2fusion, gate,
@@ -193,16 +192,6 @@ def _check_attention_chunked(seed, fault=False):
     w = rng.standard_normal((4, 6))
     return max_fd_error(
         lambda: _weighted_sum(self_attention(tokens, params, key_chunk=2), w),
-        _rotate(wiggle, seed), fault=fault,
-    )
-
-
-def _check_attention_masked(seed, fault=False):
-    params, tokens, wiggle, rng = _attention_instance(seed)
-    mask = cross_block_mask(2, 2)
-    w = rng.standard_normal((4, 6))
-    return max_fd_error(
-        lambda: _weighted_sum(self_attention(tokens, params, mask=mask), w),
         _rotate(wiggle, seed), fault=fault,
     )
 
@@ -377,7 +366,6 @@ COMPONENTS = {
     "attention_self": _check_attention_self,
     "attention_multihead": _check_attention_multihead,
     "attention_chunked": _check_attention_chunked,
-    "attention_masked": _check_attention_masked,
     "attention_pruned": _check_attention_pruned,
     "attention_co": _check_attention_co,
     "gate": _check_gate,

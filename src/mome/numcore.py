@@ -128,28 +128,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
@@ -221,16 +199,6 @@ def mul(a, b) -> Tensor:
             accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
 
     return graph_op(out, (a, b), backward, "mul")
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, -g)
-
-    return graph_op(-a.data, (a,), backward, "neg")
 
 
 def matmul(a, b) -> Tensor:

@@ -51,7 +51,8 @@ class TestCriterion02AttentionEmbeddingIdentity:
             worst_out = max(worst_out, rep.output_dev)
         ok = worst_score <= 1e-12 and worst_out <= 1e-10
         report(2, ok, f"cross-attention embedding: 100 instances, score block dev "
-                      f"{worst_score:.2e} <= 1e-12, masked-output dev {worst_out:.2e} <= 1e-10")
+                      f"{worst_score:.2e} <= 1e-12, kernel co-attention vs dense masked "
+                      f"reference {worst_out:.2e} <= 1e-10")
         assert ok
 
 

@@ -11,14 +11,14 @@ from mome.attention import (
     self_attention,
     verify_ca_embedding,
 )
-from mome.errors import ConfigError, DegenerateAttentionError, ShapeError
+from mome.errors import ConfigError, ShapeError
 
 
 def make_params(d, seed, head_count=1):
     return AttentionParams.create(d, nc.rng_stream(seed), head_count=head_count)
 
 
-def dense_reference(tokens, params, mask=None):
+def dense_reference(tokens, params):
     """Independent dense oracle: no streaming, plain numpy."""
     d = params.width
     dh = d // params.head_count
@@ -29,8 +29,6 @@ def dense_reference(tokens, params, mask=None):
     for h in range(params.head_count):
         sl = slice(h * dh, (h + 1) * dh)
         scores = xq[:, sl] @ xk[:, sl].T / np.sqrt(dh)
-        if mask is not None:
-            scores = scores + mask
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         outs.append(e / e.sum(axis=1, keepdims=True) @ xv[:, sl])
@@ -70,15 +68,13 @@ class TestSelfAttention:
         out = self_attention(tokens, params)
         assert np.allclose(out.data, dense_reference(tokens.data, params), atol=1e-12)
 
-    @pytest.mark.parametrize("key_chunk, masked", [(3, False), (None, True), (3, True)],
-                             ids=["chunked", "cross_block", "chunked_cross_block"])
-    def test_multihead_streamed_or_masked_matches_dense_oracle(self, key_chunk, masked):
+    @pytest.mark.parametrize("key_chunk", [3], ids=["chunked"])
+    def test_multihead_streamed_or_masked_matches_dense_oracle(self, key_chunk):
         rng = nc.rng_stream(7)
         params = make_params(8, 8, head_count=2)
         tokens = nc.Tensor(rng.standard_normal((5, 8)))
-        mask = cross_block_mask(2, 3) if masked else None
-        out = self_attention(tokens, params, mask=mask, key_chunk=key_chunk)
-        expected = dense_reference(tokens.data, params, mask=mask)
+        out = self_attention(tokens, params, key_chunk=key_chunk)
+        expected = dense_reference(tokens.data, params)
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_multihead_is_one_kernel_node(self):
@@ -111,20 +107,6 @@ class TestSelfAttention:
             xq, nc.matmul(kv, params.key), nc.matmul(kv, params.value), 1.0 / np.sqrt(6)
         ).data
         assert np.max(np.abs(out - permuted)) <= 1e-12
-
-    def test_fully_masked_row_rejected(self):
-        params = make_params(4, 14)
-        tokens = nc.Tensor(nc.rng_stream(15).standard_normal((3, 4)))
-        mask = np.zeros((3, 3))
-        mask[1, :] = -np.inf
-        with pytest.raises(DegenerateAttentionError):
-            self_attention(tokens, params, mask=mask)
-
-    def test_mask_shape_rejected(self):
-        params = make_params(4, 16)
-        tokens = nc.Tensor(nc.rng_stream(17).standard_normal((3, 4)))
-        with pytest.raises(ShapeError):
-            self_attention(tokens, params, mask=np.zeros((2, 3)))
 
     def test_bad_chunk_rejected(self):
         params = make_params(4, 18)
@@ -176,7 +158,7 @@ class TestPrunedQueryRows:
     output and every gradient must equal "full, then slice" bit for bit."""
 
     @staticmethod
-    def assert_pruned_equals_sliced(n, heads, key_chunk, kept, mask=None):
+    def assert_pruned_equals_sliced(n, heads, key_chunk, kept):
         rng = nc.rng_stream(n)
         params = make_params(8, n + 1, head_count=heads)
         tokens = nc.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
@@ -192,10 +174,9 @@ class TestPrunedQueryRows:
         for k in kept:
             weights = rng.standard_normal((k, 8))
             pruned = outputs(
-                lambda: self_attention(tokens, params, mask, key_chunk, rows=k), weights)
+                lambda: self_attention(tokens, params, key_chunk, rows=k), weights)
             sliced = outputs(
-                lambda: nc.slice_rows(self_attention(tokens, params, mask, key_chunk), 0, k),
-                weights)
+                lambda: nc.slice_rows(self_attention(tokens, params, key_chunk), 0, k), weights)
             for (name, a), (_, b) in zip(pruned, sliced):
                 assert np.array_equal(a, b), f"rows={k}: {name}"
 
@@ -205,11 +186,6 @@ class TestPrunedQueryRows:
     def test_pruned_equals_full_then_slice(self, n, heads, key_chunk):
         kept = sorted({k for k in (1, 6, QUERY_TILE, QUERY_TILE + 1, n) if k <= n})
         self.assert_pruned_equals_sliced(n, heads, key_chunk, kept)
-
-    def test_pruned_equals_full_then_slice_under_cross_block_mask(self):
-        n1, n2 = 300, 6
-        self.assert_pruned_equals_sliced(
-            n1 + n2, 1, 64, [1, 6, QUERY_TILE, QUERY_TILE + 1, n1], cross_block_mask(n1, n2))
 
     @pytest.mark.parametrize("rows", [0, 4])
     def test_rows_outside_the_bag_rejected(self, rows):

@@ -54,6 +54,13 @@ class TestGenData:
                        "--out", str(tmp_path / "c"))
         assert code == 2
 
+    @pytest.mark.parametrize("folds", ["1", "30"])
+    def test_bad_folds_is_usage_error(self, tmp_path, folds):
+        out = tmp_path / "c"
+        code = run_cli("gen-data", "--n", "20", "--folds", folds, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_reporting_shape(self, cohort_dir, tmp_path, capsys):

@@ -385,6 +385,13 @@ class TestSynthesizeCohort:
         with pytest.raises(ConfigError):
             synthesize_cohort(12, 4, 4, "nope", 0.2, seed=1, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("folds", [1, 13])
+    def test_bad_folds_rejected_before_any_file_is_written(self, tmp_path, folds):
+        out = tmp_path / "cohort"
+        with pytest.raises(ConfigError, match="folds"):
+            synthesize_cohort(12, 4, 4, "patho", 0.2, seed=1, out_dir=out, folds=folds)
+        assert not out.exists()
+
     def test_cross_self_test_passes_at_acceptance_scale(self, tmp_path):
         # The generator raises if the marginal or interaction R2 bounds fail.
         synthesize_cohort(200, 16, 64, "cross", 0.3, seed=7, out_dir=tmp_path)
