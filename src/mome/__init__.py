@@ -23,7 +23,7 @@ Subpackages:
 from .attention import AttentionParams, co_attention, self_attention, verify_ca_embedding
 from .bpe import GenomicGroups, ModelConfig, MoMEModel, load_checkpoint, save_checkpoint
 from .experts import ExpertId, MoMELayer, RoutingRecord, mome_forward
-from .numcore import Adam, AdamState, Tensor, adam_step, no_grad, rng_stream
+from .numcore import Adam, Tensor, no_grad, rng_stream
 from .survival import HazardCurve, SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score
 from .training import RunConfig, train_cohort
 
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "AdamState",
     "AttentionParams",
     "ExpertId",
     "GenomicGroups",
@@ -43,7 +42,6 @@ __all__ = [
     "RunConfig",
     "SurvivalTarget",
     "Tensor",
-    "adam_step",
     "c_index",
     "co_attention",
     "hazards_from_logits",

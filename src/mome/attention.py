@@ -39,7 +39,7 @@ QUERY_TILE = 256
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(nc.ParameterSet):
     """Square query/key/value projections, optionally split into heads."""
 
     query: Tensor
@@ -76,16 +76,6 @@ class AttentionParams:
                 np.eye(d) + 0.01 * rng.standard_normal((d, d)), requires_grad=True
             )
         return cls(*mats, head_count=head_count, out_proj=out_proj)
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        named = [
-            (f"{prefix}.query", self.query),
-            (f"{prefix}.key", self.key),
-            (f"{prefix}.value", self.value),
-        ]
-        if self.out_proj is not None:
-            named.append((f"{prefix}.out_proj", self.out_proj))
-        return named
 
 
 def scaled_dot_attention(
@@ -259,10 +249,6 @@ class CaEquivalenceReport:
     ok: bool
     score_block_dev: float
     output_dev: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.score_block_dev, self.output_dev)
 
 
 def verify_ca_embedding(

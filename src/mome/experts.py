@@ -68,7 +68,7 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 
 @dataclass
-class GateParams:
+class GateParams(nc.ParameterSet):
     """Per-modality projections and the shared logit map of the gate."""
 
     w1: Tensor
@@ -87,18 +87,9 @@ class GateParams:
             gain2=Tensor(np.ones(d), requires_grad=True),
         )
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.w", self.w),
-            (f"{prefix}.gain1", self.gain1),
-            (f"{prefix}.gain2", self.gain2),
-        ]
-
 
 @dataclass
-class SnnParams:
+class SnnParams(nc.ParameterSet):
     """Two self-normalizing blocks plus their input normalizer gains."""
 
     w1: Tensor
@@ -121,19 +112,9 @@ class SnnParams:
             dropout_rate=dropout_rate,
         )
 
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.b2", self.b2),
-            (f"{prefix}.gain1", self.gain1),
-            (f"{prefix}.gain2", self.gain2),
-        ]
-
 
 @dataclass
-class MoMELayer:
+class MoMELayer(nc.ParameterSet):
     """Gate plus the parameter sets of all four experts for one stage."""
 
     gate: GateParams
@@ -172,15 +153,6 @@ class MoMELayer:
             snn=SnnParams.create(d, rng, dropout_rate),
             enable_mask=tuple(bool(b) for b in enable_mask),
         )
-
-    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        named = self.gate.parameters(f"{prefix}.gate")
-        named += self.tf.parameters(f"{prefix}.tf")
-        named += self.btf_inner.parameters(f"{prefix}.btf_inner")
-        named += self.btf_outer.parameters(f"{prefix}.btf_outer")
-        named.append((f"{prefix}.bottleneck", self.bottleneck))
-        named += self.snn.parameters(f"{prefix}.snn")
-        return named
 
 
 @dataclass

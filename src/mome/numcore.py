@@ -9,6 +9,9 @@ into every ``requires_grad`` leaf.
 
 The module holds only the primitives the model runs, and each of them is
 checked against central finite differences by :mod:`mome.gradcheck`.
+Model weights live in dataclasses derived from :class:`ParameterSet`,
+whose fields are their parameter list; :class:`Adam` is the one
+optimizer and updates those tensors in place from their ``grad``.
 
 Conventions:
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,22 +222,19 @@ def matmul(a, b) -> Tensor:
     return graph_op(out, (a, b), backward, "matmul")
 
 
-def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
+    out = np.sum(a.data)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate_grad(a, np.broadcast_to(g, a.data.shape))
+        if a.requires_grad:
+            accumulate_grad(a, np.broadcast_to(g, a.data.shape))
 
     return graph_op(np.asarray(out), (a,), backward, "sum")
 
 
-def mean_rows(a, keepdims: bool = True) -> Tensor:
-    """Mean over the token (first) axis of a bag.
+def mean_rows(a) -> Tensor:
+    """Mean over the token (first) axis of a bag, as one ``[1, d]`` row.
 
     The rows are summed in storage order, so the result depends on that
     order in its last bits: this op guarantees no order of its own.
@@ -246,11 +246,11 @@ def mean_rows(a, keepdims: bool = True) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"mean_rows needs a rank-2 bag, got {a.shape}")
     n = a.data.shape[0]
-    pooled = a.data.sum(axis=0, keepdims=keepdims) / n
+    pooled = a.data.sum(axis=0, keepdims=True) / n
 
     def backward(g):
         if a.requires_grad:
-            accumulate_grad(a, np.broadcast_to(g.reshape(1, -1) / n, a.data.shape))
+            accumulate_grad(a, np.broadcast_to(g / n, a.data.shape))
 
     return graph_op(pooled, (a,), backward, "mean_rows")
 
@@ -400,75 +400,75 @@ def alpha_dropout(x, rate: float, training: bool, rng: np.random.Generator) -> T
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# parameter sets and optimizer
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam moments and hyperparameters for one parameter list."""
+class ParameterSet:
+    """Base of the dataclasses that hold trainable tensors.
 
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-5
-    t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray | None],
-    state: AdamState,
-) -> AdamState:
-    """One Adam update with bias correction, in place on ``params``.
-
-    Weight decay is coupled: an L2 term added to the gradient before the
-    moment updates. Parameters whose gradient is None are skipped. A
-    non-finite update raises ``NumericError`` naming the parameter's index
-    before that parameter is written.
+    The dataclass fields are the parameter list: ``parameters`` walks them
+    in declaration order, lists each ``Tensor`` as ``prefix.field``,
+    recurses into each nested ``ParameterSet`` under ``prefix.field`` and
+    skips every other field (counts, rates, flags, a ``None`` tensor).
     """
-    if state.lr <= 0:
-        raise ConfigError("Adam learning rate must be positive")
-    if len(params) != len(grads):
-        raise UsageError("params and grads length mismatch")
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
-        raise UsageError("AdamState was initialized for a different parameter list")
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
-    for index, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise UsageError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if not np.isfinite(update).all():
-            raise NumericError(f"non-finite update produced by 'adam_step' for parameter {index}")
-        p.data -= update
-    return state
+
+    def parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
+        named: list[tuple[str, Tensor]] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                named.append((f"{prefix}.{f.name}", value))
+            elif isinstance(value, ParameterSet):
+                named += value.parameters(f"{prefix}.{f.name}")
+        return named
 
 
 class Adam:
-    """Convenience wrapper binding an :class:`AdamState` to named parameters."""
+    """Adam with bias correction (Kingma & Ba 2015), in place on ``params``.
 
-    def __init__(self, params: Sequence[Tensor], **hyper):
+    ``step`` reads each parameter's ``grad`` and skips those whose
+    gradient is None. Weight decay is coupled: an L2 term added to the
+    gradient before the moment updates. The moments are allocated at the
+    first step. A non-finite update raises ``NumericError`` naming the
+    parameter's index before that parameter is written.
+    """
+
+    def __init__(self, params: Sequence[Tensor], *, lr: float = 2e-4, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-5):
+        if lr <= 0:
+            raise ConfigError("Adam learning rate must be positive")
         self.params = list(params)
-        self.state = AdamState(**hyper)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
 
     def step(self) -> None:
-        adam_step(self.params, [p.grad for p in self.params], self.state)
+        if not self.m:
+            self.m = [np.zeros_like(p.data) for p in self.params]
+            self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for index, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
+            g = p.grad
+            if g is None:
+                continue
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not np.isfinite(update).all():
+                raise NumericError(f"non-finite update produced by 'adam_step' for parameter {index}")
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -148,7 +148,7 @@ class TrainingAbort(NumericError):
     or optimizer update) ends a run; carries the sample id."""
 
     def __init__(self, sample_id: str, cause: Exception):
-        super().__init__(f"non-finite loss at sample '{sample_id}': {cause}")
+        super().__init__(f"non-finite value at sample '{sample_id}': {cause}")
         self.sample_id = sample_id
 
 

@@ -285,7 +285,25 @@ class TestForward:
             assert grad is not None and np.any(grad != 0.0), f"no gradient reached {name}"
 
 
+# A checkpoint stores each tensor under its name, in this order: loading
+# matches the names, and the order fixes the file's bytes.
+LAYER0_NAMES = [
+    "layer0.gate.w1", "layer0.gate.w2", "layer0.gate.w", "layer0.gate.gain1",
+    "layer0.gate.gain2", "layer0.tf.query", "layer0.tf.key", "layer0.tf.value",
+    "layer0.btf_inner.query", "layer0.btf_inner.key", "layer0.btf_inner.value",
+    "layer0.btf_outer.query", "layer0.btf_outer.key", "layer0.btf_outer.value",
+    "layer0.bottleneck", "layer0.snn.w1", "layer0.snn.b1", "layer0.snn.w2", "layer0.snn.b2",
+    "layer0.snn.gain1", "layer0.snn.gain2",
+]
+
+
 class TestCheckpointRoundtrip:
+    def test_parameter_names_are_pinned(self):
+        names = [name for name, _ in MoMEModel(ModelConfig()).parameters()]
+        assert len(names) == 104
+        assert [name for name in names if name.startswith("layer0.")] == LAYER0_NAMES
+        assert len(MoMEModel(ModelConfig(head_count=2, d=8)).parameters()) == 117
+
     def test_bit_exact_roundtrip(self, tmp_path):
         config = small_config(seed=21, head_count=2, d=8)
         model = MoMEModel(config)

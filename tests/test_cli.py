@@ -142,7 +142,7 @@ class TestTrainCommand:
         code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
                        "--out", str(tmp_path / "o"))
         assert code == 1
-        assert capsys.readouterr().err == "error: non-finite loss at sample 's0003': inf\n"
+        assert capsys.readouterr().err == "error: non-finite value at sample 's0003': inf\n"
         assert issubclass(TrainingAbort, MomeError)
 
     def test_non_finite_time_in_manifest_is_data_error(self, cohort_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -257,25 +259,53 @@ class TestBackward:
         assert np.array_equal(gw1, gw2)
 
 
+@dataclass
+class _Inner(nc.ParameterSet):
+    w: nc.Tensor
+
+
+@dataclass
+class _Outer(nc.ParameterSet):
+    a: nc.Tensor
+    count: int
+    missing: nc.Tensor | None
+    inner: _Inner
+    b: nc.Tensor
+
+
+class TestParameterSet:
+    def test_lists_tensors_and_nested_sets_in_field_order(self):
+        a, w, b = (nc.Tensor(np.zeros(2), requires_grad=True) for _ in range(3))
+        named = _Outer(a=a, count=3, missing=None, inner=_Inner(w), b=b).parameters("p")
+        assert [name for name, _ in named] == ["p.a", "p.inner.w", "p.b"]
+        assert [t for _, t in named] == [a, w, b]
+
+
+def _step(optimizer, *grads):
+    """Set each parameter's gradient, then take one optimizer step."""
+    for p, g in zip(optimizer.params, grads):
+        p.grad = g
+    optimizer.step()
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_is_noop(self):
         p = nc.Tensor([[1.0, -2.0]], requires_grad=True)
         before = p.data.copy()
-        state = nc.AdamState(lr=2e-4, weight_decay=0.0)
-        nc.adam_step([p], [np.zeros_like(p.data)], state)
+        optimizer = nc.Adam([p], lr=2e-4, weight_decay=0.0)
+        _step(optimizer, np.zeros_like(p.data))
         assert np.array_equal(p.data, before)
-        assert state.t == 1
+        assert optimizer.t == 1
 
     def test_first_step_bias_correction(self):
         p = nc.Tensor([[0.0]], requires_grad=True)
-        state = nc.AdamState(lr=2e-4, weight_decay=0.0)
-        nc.adam_step([p], [np.ones((1, 1))], state)
+        _step(nc.Adam([p], lr=2e-4, weight_decay=0.0), np.ones((1, 1)))
         expected = -2e-4 * (1.0 / (1.0 + 1e-8))
         assert abs(p.data[0, 0] - expected) < 1e-18
 
     def test_two_steps_match_scalar_rederivation(self):
         p = nc.Tensor([[0.5]], requires_grad=True)
-        state = nc.AdamState(lr=1e-2, weight_decay=0.0)
+        optimizer = nc.Adam([p], lr=1e-2, weight_decay=0.0)
         grads = [0.3, -0.7]
 
         theta, m, v = 0.5, 0.0, 0.0
@@ -287,13 +317,13 @@ class TestAdam:
             theta -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
 
         for g in grads:
-            nc.adam_step([p], [np.full((1, 1), g)], state)
-        assert state.t == 2
+            _step(optimizer, np.full((1, 1), g))
+        assert optimizer.t == 2
         assert abs(p.data[0, 0] - theta) < 1e-15
 
     def test_coupled_decay_moves_zero_grad_param(self):
         p = nc.Tensor([[1.0]], requires_grad=True)
-        nc.adam_step([p], [np.zeros((1, 1))], nc.AdamState(lr=1e-2, weight_decay=0.1))
+        _step(nc.Adam([p], lr=1e-2, weight_decay=0.1), np.zeros((1, 1)))
         assert p.data[0, 0] < 1.0
 
     def test_non_finite_update_raises_before_the_write(self):
@@ -302,16 +332,16 @@ class TestAdam:
         fine = nc.Tensor([[1.0]], requires_grad=True)
         huge = nc.Tensor([[1.0, 2.0]], requires_grad=True)
         before = huge.data.copy()
+        optimizer = nc.Adam([fine, huge], lr=10.0, weight_decay=0.0)
         raises = pytest.raises(NumericError, match="'adam_step' for parameter 1")
         with raises, np.errstate(over="ignore", invalid="ignore"):
-            nc.adam_step([fine, huge], [np.ones((1, 1)), np.full((1, 2), 1e308)],
-                         nc.AdamState(lr=10.0, weight_decay=0.0))
+            _step(optimizer, np.ones((1, 1)), np.full((1, 2), 1e308))
         assert np.array_equal(huge.data, before)
 
     def test_none_grad_skipped(self):
         p = nc.Tensor([[1.0]], requires_grad=True)
         before = p.data.copy()
-        nc.adam_step([p], [None], nc.AdamState(lr=1e-2, weight_decay=0.5))
+        _step(nc.Adam([p], lr=1e-2, weight_decay=0.5), None)
         assert np.array_equal(p.data, before)
 
 

@@ -13,3 +13,9 @@ def test_no_tracked_file_is_gitignored():
     listed = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
                             capture_output=True, text=True, check=True)
     assert listed.stdout == ""
+
+
+def test_every_exported_name_resolves():
+    import mome
+
+    assert [name for name in mome.__all__ if not hasattr(mome, name)] == []

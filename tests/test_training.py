@@ -190,10 +190,11 @@ class TestDivergingRun:
         cohort = load_cohort(manifest, run.time_bins)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(TrainingAbort, match="'adam_step' for parameter"):
+            with pytest.raises(TrainingAbort, match="'adam_step' for parameter") as err:
                 for fold in range(3):
                     train_fold(run, cohort, fold, tmp_path / "out")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "loss" not in str(err.value)
 
 
 class TestEvaluateNumericError:
