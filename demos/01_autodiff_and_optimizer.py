@@ -12,7 +12,7 @@ rng = nc.rng_stream(42)
 x = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 w = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
-hidden = nc.gelu(nc.matmul(x, w))
+hidden = nc.elu(nc.matmul(x, w))
 loss = nc.reduce_sum(nc.mul(hidden, hidden))
 loss.backward()
 
@@ -23,9 +23,9 @@ print("gradient shapes:", x.grad.shape, w.grad.shape)
 h = 1e-5
 orig = w.data[1, 0]
 w.data[1, 0] = orig + h
-hi = nc.reduce_sum(nc.mul(nc.gelu(nc.matmul(x, w)), nc.gelu(nc.matmul(x, w)))).item()
+hi = nc.reduce_sum(nc.mul(nc.elu(nc.matmul(x, w)), nc.elu(nc.matmul(x, w)))).item()
 w.data[1, 0] = orig - h
-lo = nc.reduce_sum(nc.mul(nc.gelu(nc.matmul(x, w)), nc.gelu(nc.matmul(x, w)))).item()
+lo = nc.reduce_sum(nc.mul(nc.elu(nc.matmul(x, w)), nc.elu(nc.matmul(x, w)))).item()
 w.data[1, 0] = orig
 numeric = (hi - lo) / (2 * h)
 print(f"analytic {w.grad[1, 0]:+.8f}  numeric {numeric:+.8f}")

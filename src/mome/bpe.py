@@ -202,15 +202,25 @@ class MoMEModel:
         return nc.add(nc.matmul(bag, self.patch_w), self.patch_b)
 
     def embed_genomics(self, groups: GenomicGroups) -> Tensor:
-        """One embedded token per genomic group, stacked into a 6 x d bag."""
-        rows = []
-        for name, values, w, b in zip(GROUP_NAMES, groups.values, self.group_w, self.group_b):
+        """One embedded token per genomic group, stacked into a 6 x d bag,
+        as one graph node: row ``i`` is ``values_i @ w_i + b_i``."""
+        for name, values, w in zip(GROUP_NAMES, groups.values, self.group_w):
             if len(values) != w.shape[0]:
                 raise DataError(
                     f"group '{name}' has {len(values)} values, model expects {w.shape[0]}"
                 )
-            rows.append(nc.add(nc.matmul(Tensor(values.reshape(1, -1)), w), b))
-        return nc.concat_rows(rows)
+        per_group = [(v.reshape(1, -1), w, b)
+                     for v, w, b in zip(groups.values, self.group_w, self.group_b)]
+        out = np.concatenate([x @ w.data + b.data for x, w, b in per_group], axis=0)
+
+        def backward(g):
+            for i, (x, w, b) in enumerate(per_group):
+                if w.requires_grad:
+                    nc.accumulate_grad(w, x.T @ g[i : i + 1])
+                if b.requires_grad:
+                    nc.accumulate_grad(b, g[i])
+
+        return nc.graph_op(out, (*self.group_w, *self.group_b), backward, "embed_genomics")
 
     def forward(
         self,
@@ -236,7 +246,7 @@ class MoMEModel:
         raw = patch_bag.data if isinstance(patch_bag, Tensor) else np.asarray(patch_bag)
         if raw.ndim != 2 or min(raw.shape) < 1:
             raise DataError(f"patch bag must be nonempty and rank-2, got shape {raw.shape}")
-        canonical = raw[np.lexsort(raw.T[::-1])]
+        canonical = raw[canonical_row_order(raw)]
         pathology = self.embed_patches(canonical)
         genomics = self.embed_genomics(groups)
 
@@ -266,6 +276,16 @@ class MoMEModel:
         tokens = nc.concat_rows([self.cls_token, f_patho, f_geno])
         cls_out = self_attention(tokens, self.readout, key_chunk=key_chunk, rows=1)
         return nc.add(nc.matmul(cls_out, self.head_w), self.head_b)
+
+
+def canonical_row_order(rows: np.ndarray) -> np.ndarray:
+    """``np.lexsort(rows.T[::-1])`` (column 0 first), from a stable sort of
+    column 0 alone when that column has no tie (``==``, so -0.0 ties 0.0)."""
+    order = np.argsort(rows[:, 0], kind="stable")
+    first = rows[order, 0]
+    if np.any(first[1:] == first[:-1]):
+        return np.lexsort(rows.T[::-1])
+    return order
 
 
 def bpe_round(

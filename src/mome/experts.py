@@ -12,8 +12,10 @@ of the reference modality they use:
 * ``DROPF2FUSION`` ignores the reference entirely and acts as a skip.
 
 Routing is hard (top-1). To keep the gate trainable, the chosen expert's
-output is scaled by the gate's softmax probability of that slot; the
-unscaled straight-through variant sits behind a flag.
+output is scaled by the gate's softmax probability of that slot. A flag
+turns the scaling off, which detaches the gate: it gets no gradient and
+keeps its initial weights. The gate is two fused graph nodes,
+``gate_logits`` and ``gate_probability``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+from scipy import special
 
 from . import numcore as nc
 from .attention import AttentionParams, self_attention
@@ -60,6 +63,9 @@ def parse_expert_spec(spec: str) -> tuple[bool, bool, bool, bool]:
             )
         mask[int(EXPERT_ABBREVIATIONS[token])] = True
     return tuple(mask)
+
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -198,17 +204,73 @@ def gate(
         raise DataError("gate needs nonempty bags for both modalities")
     if not any(enable_mask):
         raise ConfigError("cannot gate with every expert disabled")
-    pooled1 = nc.mean_rows(nc.gelu(nc.rmsnorm(nc.matmul(f1, params.w1), params.gain1)))
-    pooled2 = nc.mean_rows(nc.gelu(nc.rmsnorm(nc.matmul(f2, params.w2), params.gain2)))
-    logits = nc.add(nc.matmul(pooled1, params.w), nc.matmul(pooled2, params.w))
+    pooled1, saved1 = _gate_pool(f1, params.w1, params.gain1)
+    pooled2, saved2 = _gate_pool(f2, params.w2, params.gain2)
+    w = params.w
+
+    def logits_backward(g):
+        # Bag 2 first, as the composed graph walked it, so that every
+        # gradient sums in the same order.
+        for f, proj, gain, pooled, saved in ((f2, params.w2, params.gain2, pooled2, saved2),
+                                             (f1, params.w1, params.gain1, pooled1, saved1)):
+            if w.requires_grad:
+                nc.accumulate_grad(w, pooled.T @ g)
+            _gate_pool_backward(g @ w.data.T, f, proj, gain, saved)
+
+    logits = nc.graph_op(pooled1 @ w.data + pooled2 @ w.data,
+                         (f1, f2, params.w1, params.w2, w, params.gain1, params.gain2),
+                         logits_backward, "gate_logits")
 
     enabled = [i for i, on in enumerate(enable_mask) if on]
     masked = np.where(enable_mask, logits.data[0], -np.inf)
     chosen = ExpertId(int(np.argmax(masked)))
+    column = enabled.index(chosen)
+    selected = logits.data[:, enabled]
+    e = np.exp(selected - selected.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
 
-    probs = nc.softmax_rows(nc.select_columns(logits, enabled))
-    probability = nc.select_columns(probs, [enabled.index(chosen)])
+    def probability_backward(g):
+        g_probs = np.zeros_like(probs)
+        g_probs[:, column] = g[:, 0]
+        g_selected = (g_probs - np.sum(g_probs * probs, axis=1, keepdims=True)) * probs
+        g_logits = np.zeros_like(logits.data)
+        g_logits[:, enabled] = g_selected
+        nc.accumulate_grad(logits, g_logits)
+
+    probability = nc.graph_op(probs[:, [column]], (logits,), probability_backward,
+                              "gate_probability")
     return GateDecision(expert=chosen, logits=logits, probability=probability)
+
+
+def _gate_pool(f: Tensor, proj: Tensor, gain: Tensor) -> tuple[np.ndarray, tuple]:
+    """One bag's gate branch, ``mean_rows(gelu(rmsnorm(f @ proj, gain)))``,
+    as the numpy those ops run; returns the pooled row and what the
+    backward reads."""
+    h = f.data @ proj.data
+    rms = np.sqrt(np.mean(h * h, axis=1, keepdims=True) + 1e-8)  # rmsnorm's eps
+    normed = h / rms
+    r = normed * gain.data
+    cdf = special.ndtr(r)
+    a = r * cdf
+    return a.sum(axis=0, keepdims=True) / a.shape[0], (h, rms, normed, r, cdf)
+
+
+def _gate_pool_backward(g_pooled: np.ndarray, f: Tensor, proj: Tensor, gain: Tensor,
+                        saved: tuple) -> None:
+    h, rms, normed, r, cdf = saved
+    n, d = h.shape
+    pdf = np.exp(-0.5 * r * r) * _INV_SQRT_2PI
+    g_r = g_pooled / n * (cdf + r * pdf)
+    if f.requires_grad or proj.requires_grad:
+        gy = g_r * gain.data
+        dot = np.sum(gy * h, axis=1, keepdims=True)
+        g_h = gy / rms - h * dot / (d * rms**3)
+        if f.requires_grad:
+            nc.accumulate_grad(f, g_h @ proj.data.T)
+        if proj.requires_grad:
+            nc.accumulate_grad(proj, f.data.T @ g_h)
+    if gain.requires_grad:
+        nc.accumulate_grad(gain, np.sum(g_r * normed, axis=0))
 
 
 def transfusion(
@@ -247,9 +309,10 @@ def snnfusion(
     f2: Tensor,
     params: SnnParams,
     training: bool,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> Tensor:
-    """Self-normalizing fusion: per-token block on f1 plus pooled f2 block."""
+    """Self-normalizing fusion: per-token block on f1 plus pooled f2 block;
+    ``rng`` (None outside training) feeds the alpha dropout."""
 
     def block(x, w, b, gain):
         pre = nc.add(nc.matmul(nc.rmsnorm(x, gain), w), b)
@@ -290,7 +353,7 @@ def mome_forward(
     elif expert == ExpertId.SNNFUSION:
         if training and rng is None:
             raise ConfigError("snnfusion in training mode needs an rng stream")
-        out = snnfusion(f1, f2, layer.snn, training, rng or nc.rng_stream(0))
+        out = snnfusion(f1, f2, layer.snn, training, rng)
     else:
         out = dropf2fusion(f1, f2)
     if scale_by_gate_prob:

@@ -9,8 +9,9 @@ and compares every analytic gradient entry against a central difference
 so it reads as a relative error for order-one gradients and as an
 absolute error near zero. The suite is the executable contract that the
 backward of every primitive the model runs (broadcasting included), every
-attention variant, the gate, each expert, one routed MoME layer, the loss
-and a composite model path are all exact.
+attention variant, the fused gate, each expert, one routed MoME layer,
+the fused genomic embedding, the loss and a composite model path are all
+exact.
 """
 
 from __future__ import annotations
@@ -94,13 +95,6 @@ def _check_matmul(seed, fault=False):
     return max_fd_error(lambda: _weighted_sum(nc.matmul(a, b), w), [a, b], fault=fault)
 
 
-def _check_softmax(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    x = Tensor(2 * rng.standard_normal((3, 4)), requires_grad=True)
-    w = rng.standard_normal((3, 4))
-    return max_fd_error(lambda: _weighted_sum(nc.softmax_rows(x), w), [x], fault=fault)
-
-
 def _check_rmsnorm(seed, fault=False):
     rng = nc.rng_stream(seed)
     x = Tensor(rng.standard_normal((3, 4)) + 0.5, requires_grad=True)
@@ -109,14 +103,11 @@ def _check_rmsnorm(seed, fault=False):
     return max_fd_error(lambda: _weighted_sum(nc.rmsnorm(x, gain), w), [x, gain], fault=fault)
 
 
-def _activation_check(fn):
-    def check(seed, fault=False):
-        rng = nc.rng_stream(seed)
-        x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-        w = rng.standard_normal((2, 5))
-        return max_fd_error(lambda: _weighted_sum(fn(x), w), [x], fault=fault)
-
-    return check
+def _check_elu(seed, fault=False):
+    rng = nc.rng_stream(seed)
+    x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+    w = rng.standard_normal((2, 5))
+    return max_fd_error(lambda: _weighted_sum(nc.elu(x), w), [x], fault=fault)
 
 
 def _check_alpha_dropout(seed, fault=False):
@@ -142,14 +133,9 @@ def _check_structural(seed, fault=False):
     rng = nc.rng_stream(seed)
     a = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    w = rng.standard_normal((2, 2))
-
-    def build():
-        cat = nc.concat_rows([a, b])
-        piece = nc.select_columns(nc.slice_rows(cat, 1, 3), [1, 2])
-        return _weighted_sum(piece, w)
-
-    return max_fd_error(build, [a, b], fault=fault)
+    w = rng.standard_normal((2, 4))
+    return max_fd_error(lambda: _weighted_sum(nc.slice_rows(nc.concat_rows([a, b]), 1, 3), w),
+                        [a, b], fault=fault)
 
 
 def _check_broadcast(seed, fault=False):
@@ -329,6 +315,18 @@ def _check_nll(seed, fault=False):
     return max_fd_error(build, [logits], fault=fault)
 
 
+def _check_genomic_embedding(seed, fault=False):
+    """The fused embedding of six groups of different sizes."""
+    rng = nc.rng_stream(seed)
+    config = ModelConfig(d=4, rounds=1, n_b=1, time_bins=2, seed=seed, d_in=4,
+                         group_sizes=(1, 2, 3, 1, 2, 3))
+    model = MoMEModel(config)
+    groups = GenomicGroups(tuple(rng.standard_normal(s) for s in config.group_sizes))
+    w = rng.standard_normal((6, 4))
+    return max_fd_error(lambda: _weighted_sum(model.embed_genomics(groups), w),
+                        _rotate([*model.group_w, *model.group_b], seed), fault=fault)
+
+
 def _check_model_composite(seed, fault=False):
     rng = nc.rng_stream(seed)
     config = ModelConfig(
@@ -355,10 +353,8 @@ def _check_model_composite(seed, fault=False):
 
 COMPONENTS = {
     "matmul": _check_matmul,
-    "softmax": _check_softmax,
     "rmsnorm": _check_rmsnorm,
-    "gelu": _activation_check(nc.gelu),
-    "elu": _activation_check(nc.elu),
+    "elu": _check_elu,
     "alpha_dropout": _check_alpha_dropout,
     "pooling": _check_pooling,
     "structural": _check_structural,
@@ -374,6 +370,7 @@ COMPONENTS = {
     "snnfusion": _check_snn,
     "dropf2": _check_dropf2,
     "mome_layer": _check_mome_layer,
+    "genomic_embedding": _check_genomic_embedding,
     "nll_loss": _check_nll,
     "model_composite": _check_model_composite,
 }

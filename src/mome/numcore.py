@@ -9,6 +9,9 @@ into every ``requires_grad`` leaf.
 
 The module holds only the primitives the model runs, and each of them is
 checked against central finite differences by :mod:`mome.gradcheck`.
+Fused ops with a closed-form backward (the gate, the genomic embedding,
+the attention kernel and the survival loss) live with their callers and
+enter the graph as one node each through :func:`graph_op`.
 Model weights live in dataclasses derived from :class:`ParameterSet`,
 whose fields are their parameter list; :class:`Adam` is the one
 optimizer and updates those tensors in place from their ``grad``.
@@ -20,7 +23,8 @@ Conventions:
 * tensors are immutable after creation except for gradient accumulation
   and in-place optimizer updates on leaf parameters,
 * all stochastic ops take an explicit ``numpy.random.Generator`` created
-  by :func:`rng_stream` (counter-based Philox), never global state.
+  by :func:`rng_stream` (counter-based Philox), never global state; in
+  evaluation they draw nothing and take ``None``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
@@ -41,8 +44,6 @@ _grad_enabled = True
 # Saturation value that dropped activations are pulled to: the negative
 # limit of a unit-alpha exponential-linear unit.
 ELU_SATURATION = -1.0
-
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def rng_stream(seed: int) -> np.random.Generator:
@@ -100,9 +101,6 @@ class Tensor:
             raise UsageError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-accumulate gradients of this scalar into the graph leaves."""
         if self.data.size != 1:
@@ -157,10 +155,12 @@ def graph_op(
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, allocating the buffer on first use."""
+    """Add ``g`` into ``t.grad`` in place; the first is stored as a copy,
+    because an op may hand one array to several parents (``add`` does)."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -286,42 +286,9 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return graph_op(out, (a,), backward, "slice_rows")
 
 
-def select_columns(a, columns: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"select_columns needs a rank-2 tensor, got {a.shape}")
-    cols = list(columns)
-    out = a.data[:, cols].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (slice(None), cols), g)
-
-    return graph_op(out, (a,), backward, "select_columns")
-
-
 # ---------------------------------------------------------------------------
-# normalization, softmax, activations, dropout
+# normalization, activation, dropout
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-stabilized softmax of a rank-2 tensor; each row sums to 1."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a rank-2 tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            dot = np.sum(g * out, axis=1, keepdims=True)
-            accumulate_grad(x, (g - dot) * out)
-
-    return graph_op(out, (x,), backward, "softmax_rows")
 
 
 def rmsnorm(x, gain, eps: float = 1e-8) -> Tensor:
@@ -349,20 +316,6 @@ def rmsnorm(x, gain, eps: float = 1e-8) -> Tensor:
     return graph_op(out, (x, gain), backward, "rmsnorm")
 
 
-def gelu(x) -> Tensor:
-    """Gaussian error linear unit in its exact normal-CDF form."""
-    x = _as_tensor(x)
-    cdf = special.ndtr(x.data)
-    out = x.data * cdf
-
-    def backward(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            accumulate_grad(x, g * (cdf + x.data * pdf))
-
-    return graph_op(out, (x,), backward, "gelu")
-
-
 def elu(x) -> Tensor:
     """Exponential linear unit with unit alpha."""
     x = _as_tensor(x)
@@ -375,11 +328,11 @@ def elu(x) -> Tensor:
     return graph_op(out, (x,), backward, "elu")
 
 
-def alpha_dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def alpha_dropout(x, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
     """Self-normalizing dropout: dropped entries saturate, then an affine
     correction restores zero mean and unit variance in expectation.
 
-    Identity when ``training`` is false or ``rate`` is 0.
+    Identity (and ``rng`` may be None) when ``training`` is false or ``rate`` is 0.
     """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:

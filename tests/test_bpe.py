@@ -66,9 +66,58 @@ class TestEmbedGenomics:
         with pytest.raises(DataError):
             model.embed_genomics(GenomicGroups(tuple(values)))
 
+    def test_one_node_equals_the_composed_ops_bit_for_bit(self):
+        config = small_config()
+        model = MoMEModel(config)
+        _, groups = random_sample(config, seed=3)
+        weights = nc.rng_stream(4).standard_normal((6, config.d))
+        fused = model.embed_genomics(groups)
+        nc.reduce_sum(nc.mul(fused, nc.Tensor(weights))).backward()
+        fused_grads = [t.grad for t in model.group_w + model.group_b]
+        for t in model.group_w + model.group_b:
+            t.grad = None
+        composed = nc.concat_rows([
+            nc.add(nc.matmul(nc.Tensor(v.reshape(1, -1)), w), b)
+            for v, w, b in zip(groups.values, model.group_w, model.group_b)
+        ])
+        nc.reduce_sum(nc.mul(composed, nc.Tensor(weights))).backward()
+        assert fused.requires_grad and np.array_equal(fused.data, composed.data)
+        for got, t in zip(fused_grads, model.group_w + model.group_b):
+            assert np.array_equal(got, t.grad)
+
     def test_wrong_group_count_rejected(self):
         with pytest.raises(DataError):
             GenomicGroups(tuple(np.zeros(3) for _ in range(5)))
+
+
+class TestCanonicalRowOrder:
+    @staticmethod
+    def assert_matches_lexsort(rows):
+        assert np.array_equal(bpe.canonical_row_order(rows), np.lexsort(rows.T[::-1]))
+
+    def test_random_bags(self):
+        rng = nc.rng_stream(30)
+        for n in (1, 2, 7, 300):
+            self.assert_matches_lexsort(rng.standard_normal((n, 5)))
+
+    def test_tied_first_column(self):
+        rng = nc.rng_stream(31)
+        rows = rng.standard_normal((40, 4))
+        rows[:, 0] = np.round(rows[:, 0])
+        self.assert_matches_lexsort(rows)
+
+    def test_signed_zeros_in_first_column_tie(self):
+        rng = nc.rng_stream(32)
+        rows = rng.standard_normal((6, 3))
+        rows[:, 0] = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0]
+        self.assert_matches_lexsort(rows)
+        rows[:, 0] = [2.0, -0.0, 1.0, 3.0, 0.0, -1.0]
+        self.assert_matches_lexsort(rows)
+
+    def test_duplicate_rows(self):
+        rng = nc.rng_stream(33)
+        rows = rng.standard_normal((5, 4))
+        self.assert_matches_lexsort(np.concatenate([rows, rows[::-1], rows[:2]]))
 
 
 class TestBpeRound:
@@ -216,6 +265,29 @@ class TestForward:
         cls_row = nc.slice_rows(self_attention(tokens, model.readout), 0, 1)
         expected = nc.add(nc.matmul(cls_row, model.head_w), model.head_b).data
         assert np.array_equal(out, expected)
+
+    def test_graph_node_budget_of_a_training_step(self, monkeypatch):
+        """A skip-only default model: patch embedding (2), genomic embedding
+        (1), four gates of two nodes plus the probability scaling (12), the
+        readout attention (6), the hazard head (2) and the loss (1). Each
+        gate was 14 nodes and the genomic embedding 13 before they became
+        fused ops."""
+        config = ModelConfig(enable_mask=(False, False, False, True))
+        model = MoMEModel(config)
+        rng = nc.rng_stream(19)
+        patches = rng.standard_normal((128, config.d_in))
+        groups = GenomicGroups(tuple(rng.standard_normal(s) for s in config.group_sizes))
+        graph_op, ops = nc.graph_op, []
+
+        def counting_graph_op(data, parents, backward, op):
+            ops.append(op)
+            return graph_op(data, parents, backward, op)
+
+        monkeypatch.setattr(nc, "graph_op", counting_graph_op)
+        logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(20))
+        nll_loss(hazards_from_logits(logits), SurvivalTarget(bin=1, censored=False, raw_time=1.0))
+        assert len(ops) == 24, ops
+        assert ops.count("gate_logits") == ops.count("gate_probability") == 4
 
     def test_kernel_computes_only_the_query_tiles_callers_keep(self, monkeypatch):
         """TF-only, two rounds: the two layers that encode the bag keep n of

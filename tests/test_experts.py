@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 import mome.numcore as nc
 from mome.attention import AttentionParams, self_attention
@@ -31,7 +32,61 @@ def random_bags(d=8, n1=4, n2=3, seed=1):
     return nc.Tensor(rng.standard_normal((n1, d))), nc.Tensor(rng.standard_normal((n2, d)))
 
 
+def reference_gate(f1, f2, params, enable_mask):
+    """The gate in plain numpy: logits, chosen slot and its probability."""
+
+    def pooled(f, proj, gain):
+        h = f.data @ proj.data
+        r = h / np.sqrt(np.mean(h * h, axis=1, keepdims=True) + 1e-8) * gain.data
+        return (r * special.ndtr(r)).sum(axis=0, keepdims=True) / f.shape[0]
+
+    w = params.w.data
+    logits = pooled(f1, params.w1, params.gain1) @ w + pooled(f2, params.w2, params.gain2) @ w
+    enabled = [i for i, on in enumerate(enable_mask) if on]
+    chosen = enabled[int(np.argmax(logits[0, enabled]))]
+    e = np.exp(logits[0, enabled] - logits[0, enabled].max())
+    return logits, chosen, (e / e.sum())[enabled.index(chosen)]
+
+
+MASKS = [(True, True, True, True), (True, False, True, False), (False, True, False, False),
+         (False, True, True, True)]
+
+
 class TestGate:
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_matches_numpy_reference_bit_for_bit(self, mask):
+        for seed in range(5):
+            f1, f2 = random_bags(n1=5 + seed, n2=6, seed=100 + seed)
+            params = GateParams.create(8, nc.rng_stream(200 + seed))
+            decision = gate(f1, f2, params, mask)
+            logits, chosen, probability = reference_gate(f1, f2, params, mask)
+            assert np.array_equal(decision.logits.data, logits)
+            assert decision.expert == chosen
+            assert decision.probability.shape == (1, 1)
+            assert decision.probability.item() == probability
+
+    def test_tie_breaks_to_lowest_enabled_slot_like_the_reference(self):
+        f1, f2 = random_bags(seed=4)
+        params = GateParams.create(8, nc.rng_stream(5))
+        params.w.data[:, 2] = 0.0
+        if gate(f1, f2, params).logits.data[0, 1] < 0.0:
+            params.w.data[:, 1] *= -1.0
+        params.w.data[:, 3] = params.w.data[:, 1]
+        mask = (False, True, True, True)
+        decision = gate(f1, f2, params, mask)
+        logits, chosen, probability = reference_gate(f1, f2, params, mask)
+        assert decision.logits.data[0, 1] == decision.logits.data[0, 3] > 0.0
+        assert np.array_equal(decision.logits.data, logits)
+        assert decision.expert == chosen == ExpertId.BOTTLENECK_TRANSFUSION
+        assert decision.probability.item() == probability
+
+    def test_equal_logits_give_uniform_probability(self):
+        f1, f2 = random_bags(seed=2)
+        params = GateParams.create(8, nc.rng_stream(3))
+        params.w.data[:] = 0.0
+        decision = gate(f1, f2, params, enable_mask=(True, False, True, True))
+        assert decision.probability.item() == 1.0 / 3.0
+
     def test_zero_weights_tie_breaks_to_transfusion(self):
         f1, f2 = random_bags(seed=2)
         params = GateParams.create(8, nc.rng_stream(3))
@@ -196,6 +251,17 @@ class TestMoMEForward:
         nc.reduce_sum(mome_forward(f1, f2, layer)).backward()
         assert layer.gate.w.grad is not None
         assert np.any(layer.gate.w.grad != 0.0)
+
+    def test_eval_forward_draws_no_random_stream(self, monkeypatch):
+        layer = make_layer(seed=48, enable_mask=(False, False, True, False))
+        f1, f2 = random_bags(seed=49)
+
+        def no_stream(seed):
+            raise AssertionError("evaluation built a random stream")
+
+        monkeypatch.setattr(nc, "rng_stream", no_stream)
+        out = mome_forward(f1, f2, layer, training=False)
+        assert layer.call_counts[ExpertId.SNNFUSION] == 1 and out.shape == f1.shape
 
     def test_unscaled_variant_detaches_gate(self):
         layer = make_layer(seed=40)
