@@ -10,10 +10,12 @@ accumulation roundoff. The same op splits the heads: it walks each
 head's column slice of the projected queries, keys and values inside one
 graph node, so H heads cost no extra nodes.
 
-Because the tile size is fixed, a caller that keeps only a prefix of the
-query rows (``self_attention(..., rows=k)``) runs exactly the tile
-products that cover those rows in the full computation, so the kept rows
-and every gradient equal "full, then slice" bit for bit.
+The online softmax is exact for any set of query rows, so a caller that
+keeps only a prefix of the output (``self_attention(..., rows=k)``)
+projects and attends exactly those k query rows against every key. The
+kept rows and every gradient equal "full, then slice" to roundoff: BLAS
+may round a k-row product differently from the same rows inside a larger
+one.
 
 The kernel takes no mask: the model never hides a score. The cross-modal
 embedding identity is shipped as an executable check instead: concatenated
@@ -33,8 +35,8 @@ from . import numcore as nc
 from .errors import ConfigError, DataError, ShapeError
 from .numcore import Tensor
 
-# Query rows per tile of the kernel's outer loop. A fixed size, not an
-# option: pruned and full calls must run the same tile products.
+# Query rows per tile of the kernel's outer loop: with ``key_chunk`` it
+# bounds the scores held at once. It does not decide which rows run.
 QUERY_TILE = 256
 
 
@@ -95,10 +97,11 @@ def scaled_dot_attention(
     the forward pass streams each tile over key blocks of that size; the
     backward pass re-walks the same tiles and blocks, accumulating the key
     and value gradients tile by tile, so peak memory stays at
-    ``QUERY_TILE`` x ``key_chunk`` scores. A q that holds only the first
-    tiles of a longer query bag therefore yields the first rows of the
-    longer call's output, and of its key and value gradients when the
-    dropped rows carry no output gradient, bit for bit.
+    ``QUERY_TILE`` x ``key_chunk`` scores. Each query row's result
+    depends on that row and the keys alone, so a q that holds only some
+    rows of a longer query bag yields those rows of the longer call's
+    output (and its key and value gradients when the dropped rows carry
+    no output gradient), up to BLAS roundoff.
     """
     n, d = q.shape
     m, d_v = v.shape
@@ -174,24 +177,16 @@ def _attend(
     keys_from: Tensor,
     params: AttentionParams,
     key_chunk: int | None,
-    rows: int | None = None,
 ) -> Tensor:
     xq = nc.matmul(queries_from, params.query)
     xk = nc.matmul(keys_from, params.key)
     xv = nc.matmul(keys_from, params.value)
-    n = xq.shape[0]
-    rows = n if rows is None else rows
-    # Q is projected for every row and then cut: projecting a row subset
-    # would be a smaller product, which BLAS may round differently.
-    covered = min(n, -(-rows // QUERY_TILE) * QUERY_TILE)
-    if covered < n:
-        xq = nc.slice_rows(xq, 0, covered)
     scale = 1.0 / np.sqrt(params.width // params.head_count)
     out = scaled_dot_attention(xq, xk, xv, scale, key_chunk=key_chunk,
                                head_count=params.head_count)
     if params.out_proj is not None:
         out = nc.matmul(out, params.out_proj)
-    return out if rows == covered else nc.slice_rows(out, 0, rows)
+    return out
 
 
 def self_attention(
@@ -202,10 +197,10 @@ def self_attention(
 ) -> Tensor:
     """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head)(XV).
 
-    With ``rows`` set, only the first ``rows`` output rows are returned and
-    the kernel computes only the query tiles that cover them. The result
-    and every gradient equal the full output sliced to those rows, bit for
-    bit.
+    With ``rows`` set, queries are projected from the first ``rows`` tokens
+    only and the kernel computes exactly those output rows; keys and values
+    still come from every token. The result and every gradient equal the
+    full output sliced to those rows up to roundoff, not bit for bit.
     """
     if tokens.ndim != 2 or tokens.shape[1] != params.width:
         raise ShapeError(f"token bag shape {tokens.shape} does not match width {params.width}")
@@ -214,7 +209,8 @@ def self_attention(
         raise DataError("self_attention needs at least one token")
     if rows is not None and not 1 <= rows <= n:
         raise ShapeError(f"cannot keep {rows} rows of a {n}-token bag")
-    return _attend(tokens, tokens, params, key_chunk, rows)
+    queries = tokens if rows in (None, n) else nc.slice_rows(tokens, 0, rows)
+    return _attend(queries, tokens, params, key_chunk)
 
 
 def co_attention(

@@ -184,7 +184,7 @@ def _check_attention_chunked(seed, fault=False):
 
 def _check_attention_pruned(seed, fault=False):
     """A bag one tile and two rows long, keeping a one-row prefix: the
-    kernel runs the first query tile only and skips the second."""
+    kernel runs that one query row against every key."""
     rng = nc.rng_stream(seed)
     params = AttentionParams.create(6, rng)
     tokens = Tensor(rng.standard_normal((QUERY_TILE + 2, 6)))

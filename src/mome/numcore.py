@@ -260,12 +260,14 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise UsageError("concat_rows of an empty sequence")
     out = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        start = 0
+        for p in parts:
+            stop = start + p.data.shape[0]
             if p.requires_grad:
                 accumulate_grad(p, g[start:stop])
+            start = stop
 
     return graph_op(out, tuple(parts), backward, "concat_rows")
 

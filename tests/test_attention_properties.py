@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mome.numcore as nc
 from mome.attention import QUERY_TILE, AttentionParams, self_attention
-from test_attention import dense_reference
+from test_attention import dense_reference, kernel_query_rows
 
 WIDTH = 8
 TILE_EDGES = (QUERY_TILE - 1, QUERY_TILE, QUERY_TILE + 1,
@@ -64,12 +64,17 @@ class TestStreamingKernelProperties:
     @PROPERTY_SETTINGS
     @given(attention_cases())
     def test_pruned_rows_equal_full_then_slice(self, case):
-        key_chunk = case[1]
-        pruned, pruned_grads, _, _ = run(case, key_chunk)
+        # Roundoff, not bit identity: the pruned call projects and attends
+        # only the kept query rows, a smaller product that BLAS may round
+        # differently.
+        key_chunk, rows = case[1], case[3]
+        with kernel_query_rows() as queries:
+            pruned, pruned_grads, _, _ = run(case, key_chunk)
+        assert queries == [rows]
         sliced, sliced_grads, _, _ = run(case, key_chunk, prune=False)
-        assert np.array_equal(pruned, sliced)
+        assert np.max(np.abs(pruned - sliced)) <= 1e-12
         for name, grad in pruned_grads.items():
-            assert np.array_equal(grad, sliced_grads[name]), name
+            assert np.max(np.abs(grad - sliced_grads[name])) <= 1e-12, name
 
     @PROPERTY_SETTINGS
     @given(attention_cases())

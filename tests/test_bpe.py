@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mome.bpe as bpe
+import mome.experts as experts
 import mome.numcore as nc
 from mome.bpe import (
     GenomicGroups,
@@ -15,6 +16,7 @@ from mome.bpe import (
 from mome.errors import ConfigError, DataError, FormatError
 from mome.experts import ExpertId
 from mome.survival import SurvivalTarget, hazards_from_logits, nll_loss
+from test_attention import kernel_query_rows
 
 
 def small_config(**overrides):
@@ -262,7 +264,7 @@ class TestForward:
         from mome.attention import self_attention
 
         tokens = nc.concat_rows([model.cls_token, p, g])
-        cls_row = nc.slice_rows(self_attention(tokens, model.readout), 0, 1)
+        cls_row = self_attention(tokens, model.readout, rows=1)
         expected = nc.add(nc.matmul(cls_row, model.head_w), model.head_b).data
         assert np.array_equal(out, expected)
 
@@ -289,26 +291,18 @@ class TestForward:
         assert len(ops) == 24, ops
         assert ops.count("gate_logits") == ops.count("gate_probability") == 4
 
-    def test_kernel_computes_only_the_query_tiles_callers_keep(self, monkeypatch):
+    def test_kernel_computes_only_the_query_rows_callers_keep(self):
         """TF-only, two rounds: the two layers that encode the bag keep n of
-        n+6 rows, while the two that encode the genomic groups (6 rows) and
-        the readout (1 row) each run one query tile."""
-        import mome.attention as attention
-
-        kernel, queries = attention.scaled_dot_attention, []
-
-        def counting_kernel(q, *args, **kwargs):
-            queries.append(q.shape[0])
-            return kernel(q, *args, **kwargs)
-
-        monkeypatch.setattr(attention, "scaled_dot_attention", counting_kernel)
+        n+6 rows, the two that encode the genomic groups keep 6 and the
+        readout keeps 1; the kernel computes exactly those rows."""
         config = small_config(enable_mask=(True, False, False, False))
         n = 1750
         patches = nc.rng_stream(19).standard_normal((n, config.d_in))
         _, groups = random_sample(config, seed=20)
-        MoMEModel(config).forward(patches, groups, key_chunk=512)
+        with kernel_query_rows() as queries:
+            MoMEModel(config).forward(patches, groups, key_chunk=512)
         assert len(queries) == 5
-        assert sum(queries) == 2 * (n + 6) + 3 * attention.QUERY_TILE
+        assert sum(queries) == 2 * n + 13
 
     def test_first_encoded_genomics_round_order(self):
         config = small_config(first_encoded="genomics", rounds=1)
@@ -367,6 +361,52 @@ LAYER0_NAMES = [
     "layer0.bottleneck", "layer0.snn.w1", "layer0.snn.b1", "layer0.snn.w2", "layer0.snn.b2",
     "layer0.snn.gain1", "layer0.snn.gain2",
 ]
+
+
+class TestPrunedRowsAtModelLevel:
+    """The experts and the readout keep a prefix of each self-attention
+    (``rows=``). A model whose self-attention computes every row and then
+    slices agrees to roundoff in the logits and every parameter gradient."""
+
+    @staticmethod
+    def run(model, patches, groups):
+        for _, t in model.parameters():
+            t.grad = None
+        log = []
+        logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(5),
+                               routing_log=log, key_chunk=512)
+        target = SurvivalTarget(bin=2, censored=False, raw_time=1.0)
+        nll_loss(hazards_from_logits(logits), target).backward()
+        grads = {name: t.grad for name, t in model.parameters()}
+        return logits.data, grads, [r.expert for r in log]
+
+    @pytest.mark.parametrize("mask", [(True, True, True, True), (True, False, False, False)],
+                             ids=["all", "tf"])
+    @pytest.mark.parametrize("n", [37, 300, 1750])
+    def test_pruned_equals_full_then_slice(self, n, mask, monkeypatch):
+        config = small_config(enable_mask=mask)
+        model = MoMEModel(config)
+        patches = nc.rng_stream(n).standard_normal((n, config.d_in))
+        _, groups = random_sample(config, seed=n)
+        pruned, pruned_grads, pruned_route = self.run(model, patches, groups)
+
+        full = bpe.self_attention
+
+        def full_then_slice(tokens, params, key_chunk=None, rows=None):
+            out = full(tokens, params, key_chunk)
+            return out if rows is None else nc.slice_rows(out, 0, rows)
+
+        monkeypatch.setattr(bpe, "self_attention", full_then_slice)
+        monkeypatch.setattr(experts, "self_attention", full_then_slice)
+        sliced, sliced_grads, sliced_route = self.run(model, patches, groups)
+
+        assert pruned_route == sliced_route
+        assert np.max(np.abs(pruned - sliced)) <= 1e-12
+        for name, grad in pruned_grads.items():
+            if grad is None:
+                assert sliced_grads[name] is None, name
+            else:
+                assert np.max(np.abs(grad - sliced_grads[name])) <= 1e-12, name
 
 
 class TestCheckpointRoundtrip:

@@ -18,6 +18,7 @@ from mome.experts import (
     snnfusion,
     transfusion,
 )
+from test_attention import kernel_query_rows
 
 
 def make_layer(d=8, seed=0, n_b=2, enable_mask=(True, True, True, True), dropout_rate=0.25):
@@ -137,12 +138,29 @@ class TestTransfusion:
         expected = np.tile((stacked @ params.value.data).mean(axis=0), (3, 1))
         assert np.allclose(out.data, expected, atol=1e-12)
 
-    def test_matches_composed_oracle_bit_exactly(self):
+    def test_matches_composed_oracle(self):
+        """Full self-attention over [f1; f2], sliced to the f1 rows, agrees to
+        roundoff; transfusion itself runs only the 5 f1 query rows."""
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=17)
+        f1.requires_grad = f2.requires_grad = True
         params = AttentionParams.create(8, nc.rng_stream(18))
-        out = transfusion(f1, f2, params)
-        oracle = nc.slice_rows(self_attention(nc.concat_rows([f1, f2]), params), 0, 5)
-        assert np.array_equal(out.data, oracle.data)
+        named = [("f1", f1), ("f2", f2)] + params.parameters("attention")
+        weights = nc.Tensor(nc.rng_stream(19).standard_normal((5, 8)))
+
+        def outputs(build):
+            for _, t in named:
+                t.grad = None
+            out = build()
+            nc.reduce_sum(nc.mul(out, weights)).backward()
+            return [("output", out.data)] + [(name, t.grad) for name, t in named]
+
+        with kernel_query_rows() as queries:
+            fused = outputs(lambda: transfusion(f1, f2, params))
+        assert queries == [5]
+        oracle = outputs(
+            lambda: nc.slice_rows(self_attention(nc.concat_rows([f1, f2]), params), 0, 5))
+        for (name, a), (_, b) in zip(fused, oracle):
+            assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
 class TestBottleneckTransfusion:

@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import mome.numcore as nc
+import mome.training as training
 from mome.bpe import MoMEModel, load_checkpoint
 from mome.data import synthesize_cohort
 from mome.errors import ConfigError, DataError, NumericError
 from mome.numcore import Adam
+from mome.survival import nll_loss
 from mome.training import (
     MetricsRecord,
     RunConfig,
@@ -180,19 +183,34 @@ class TestRunConfigRanges:
 
 
 class TestDivergingRun:
-    def test_abort_is_typed_and_prints_no_numpy_warnings(self, tmp_path):
-        """At lr 1e6 the third fold's Adam update overflows to inf/inf; the
-        abort names ``adam_step`` instead of the next sample's op, and the
-        overflows on the way there raise no ``RuntimeWarning``."""
+    def test_abort_is_typed_and_prints_no_numpy_warnings(self, tmp_path, monkeypatch):
+        """The fifth step's loss hands back a gradient that overflows to inf,
+        so that step's Adam update is not finite; the abort names ``adam_step``
+        instead of the next sample's op, and the overflow on the way there
+        raises no ``RuntimeWarning``."""
         manifest = synthesize_cohort(24, 32, 32, "patho", 0.3, seed=0, out_dir=tmp_path,
                                      folds=3)
-        run = RunConfig(lr=1e6, d=16, epochs=3, folds=3)
+        run = RunConfig(d=16, epochs=1, folds=3)
         cohort = load_cohort(manifest, run.time_bins)
+        calls = []
+
+        def overflowing_nll_loss(curve, target):
+            loss = nll_loss(curve, target)
+            calls.append(target)
+            if len(calls) != 5:
+                return loss
+
+            def backward(g):
+                nc.accumulate_grad(loss, g * np.finfo(np.float64).max * 2.0)
+
+            return nc.graph_op(loss.data, (loss,), backward, "overflowing_loss")
+
+        monkeypatch.setattr(training, "nll_loss", overflowing_nll_loss)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TrainingAbort, match="'adam_step' for parameter") as err:
-                for fold in range(3):
-                    train_fold(run, cohort, fold, tmp_path / "out")
+                train_fold(run, cohort, 0, tmp_path / "out")
+        assert len(calls) == 5
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "loss" not in str(err.value)
 
