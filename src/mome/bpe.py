@@ -17,10 +17,13 @@ Checkpoints are single binary files:
 
 with the config block holding, little-endian: d u32, rounds u32, n_b
 u32, head_count u32, time_bins u32, d_in u32, first_encoded u8, four
-enable-mask u8 flags, scale_by_gate_prob u8, dropout_rate f64, seed u64,
-n_groups u32 and one u32 group size each. The loader validates the
-magic, version, every extent, the total byte count and that every payload
-value is finite.
+enable-mask u8 flags, a gate-scaling u8, dropout_rate f64, seed u64,
+n_groups u32 and one u32 group size each. Every flag byte is 0 or 1, and
+the gate-scaling byte is always 1: expert outputs are scaled by the gate
+probability. A file with any other value in a flag byte, a 0 in the
+gate-scaling byte included, is rejected at that byte's offset. The loader
+also validates the magic, version, every extent, the total byte count
+and that every payload value is finite.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ def setting(default, help: str, **cli):
     ``help`` and the optional command-line hints travel in the field
     metadata: ``flag`` (when it is not ``--`` plus the field name),
     ``choices``, ``parse`` (text to value, for non-scalar fields) and
-    ``shown`` (the default as the help text prints it). A bool field's
-    flag is a switch that sets the opposite of its default.
+    ``shown`` (the default as the help text prints it).
     """
     return field(default=default, metadata=dict(help=help, **cli))
 
@@ -102,9 +104,6 @@ class ModelSettings:
                         shown="MOME_SEED or 0")
     dropout_rate: float = setting(0.25, "alpha-dropout rate inside the SNN expert",
                                   flag="--dropout")
-    scale_by_gate_prob: bool = setting(
-        True, "do not scale expert outputs by the gate probability", flag="--no-prob-scaling"
-    )
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -254,20 +253,11 @@ class MoMEModel:
             f1, f2 = pathology, genomics
         else:
             f1, f2 = genomics, pathology
-        for r in range(self.config.rounds):
-            f1, f2 = bpe_round(
-                f1,
-                f2,
-                self.layers[2 * r],
-                self.layers[2 * r + 1],
-                training=training,
-                rng=rng,
-                routing_log=routing_log,
-                sample_id=sample_id,
-                base_index=2 * r,
-                key_chunk=key_chunk,
-                scale_by_gate_prob=self.config.scale_by_gate_prob,
-            )
+        # Alternating rounds: each layer encodes one modality against the
+        # other's latest encoding, so the pair swaps roles after every layer.
+        for i, layer in enumerate(self.layers):
+            f1, f2 = f2, mome_forward(f1, f2, layer, training, rng, routing_log, sample_id,
+                                      layer_index=i, key_chunk=key_chunk)
         if self.config.first_encoded == "pathology":
             f_patho, f_geno = f1, f2
         else:
@@ -286,32 +276,6 @@ def canonical_row_order(rows: np.ndarray) -> np.ndarray:
     if np.any(first[1:] == first[:-1]):
         return np.lexsort(rows.T[::-1])
     return order
-
-
-def bpe_round(
-    f1: Tensor,
-    f2: Tensor,
-    layer_a: MoMELayer,
-    layer_b: MoMELayer,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    routing_log: list[RoutingRecord] | None = None,
-    sample_id: str = "",
-    base_index: int = 0,
-    key_chunk: int | None = None,
-    scale_by_gate_prob: bool = True,
-) -> tuple[Tensor, Tensor]:
-    """One alternating round: encode f1 against f2, then f2 against the
-    freshly updated f1 (strict ordering, never the stale one)."""
-    f1_new = mome_forward(
-        f1, f2, layer_a, training, rng, routing_log, sample_id, base_index,
-        key_chunk, scale_by_gate_prob,
-    )
-    f2_new = mome_forward(
-        f2, f1_new, layer_b, training, rng, routing_log, sample_id, base_index + 1,
-        key_chunk, scale_by_gate_prob,
-    )
-    return f1_new, f2_new
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +297,7 @@ def _pack_config(config: ModelConfig) -> bytes:
         "<6B",
         FIRST_ENCODED_CHOICES.index(config.first_encoded),
         *(1 if b else 0 for b in config.enable_mask),
-        1 if config.scale_by_gate_prob else 0,
+        1,  # gate scaling, always on
     )
     tail = struct.pack("<dQ", config.dropout_rate, config.seed & 0xFFFFFFFFFFFFFFFF)
     groups = struct.pack("<I", N_GROUPS) + struct.pack(f"<{N_GROUPS}I", *config.group_sizes)
@@ -344,7 +308,8 @@ def _unpack_config(buf: bytes, offset: int) -> tuple[ModelConfig, int]:
     try:
         d, rounds, n_b, heads, bins, d_in = struct.unpack_from("<6I", buf, offset)
         offset += 24
-        first, m0, m1, m2, m3, scaled = struct.unpack_from("<6B", buf, offset)
+        flags_at = offset
+        first, *mask, scaled = struct.unpack_from("<6B", buf, offset)
         offset += 6
         dropout, seed = struct.unpack_from("<dQ", buf, offset)
         offset += 16
@@ -358,7 +323,13 @@ def _unpack_config(buf: bytes, offset: int) -> tuple[ModelConfig, int]:
     except struct.error as err:
         raise FormatError(f"truncated config block: {err}", offset)
     if first >= len(FIRST_ENCODED_CHOICES):
-        raise FormatError(f"invalid first_encoded flag {first}", offset)
+        raise FormatError(f"invalid first_encoded flag {first}", flags_at)
+    for i, value in enumerate(mask):
+        if value > 1:
+            raise FormatError(f"invalid enable-mask flag {value}", flags_at + 1 + i)
+    if scaled != 1:
+        raise FormatError(f"invalid gate-scaling flag {scaled}: only 1 (outputs scaled by "
+                          "the gate probability) is supported", flags_at + 5)
     try:
         config = ModelConfig(
             d=d,
@@ -366,13 +337,12 @@ def _unpack_config(buf: bytes, offset: int) -> tuple[ModelConfig, int]:
             n_b=n_b,
             head_count=heads,
             time_bins=bins,
-            enable_mask=(bool(m0), bool(m1), bool(m2), bool(m3)),
+            enable_mask=tuple(value == 1 for value in mask),
             first_encoded=FIRST_ENCODED_CHOICES[first],
             seed=seed,
             d_in=d_in,
             group_sizes=tuple(int(s) for s in sizes),
             dropout_rate=dropout,
-            scale_by_gate_prob=bool(scaled),
         )
     except ConfigError as err:
         raise FormatError(f"invalid config block: {err}", offset)

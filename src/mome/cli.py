@@ -43,7 +43,6 @@ EXIT_DATA = 3
 
 _TRAIN_FIELDS = fields(RunConfig)
 _TYPES = get_type_hints(RunConfig)
-_BOOL_SPELLINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _flag(f: Field) -> str:
@@ -75,28 +74,18 @@ def _positive_int(text: str) -> int:
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field, built from the field metadata."""
     for f in _TRAIN_FIELDS:
-        help_text = f.metadata["help"]
-        if _TYPES[f.name] is bool:
-            parser.add_argument(_flag(f), dest=f.name, action="store_const",
-                                const=not f.default, default=argparse.SUPPRESS, help=help_text)
-            continue
         shown = f.metadata.get("shown", f.default)
         parser.add_argument(_flag(f), dest=f.name, type=f.metadata.get("parse", _TYPES[f.name]),
                             choices=f.metadata.get("choices"), default=argparse.SUPPRESS,
-                            help=f"{help_text} (default: {shown})")
+                            help=f"{f.metadata['help']} (default: {shown})")
     parser.add_argument("--config", help="key=value config file (flags override it)")
 
 
-def _config_value(f: Field, text: str, switch: bool):
-    """Convert one config-file value; ``switch`` marks a bool key spelled as its flag."""
-    kind = _TYPES[f.name]
-    if kind is bool:
-        if text.lower() not in _BOOL_SPELLINGS:
-            raise ConfigError(f"expected one of {'/'.join(_BOOL_SPELLINGS)}, got '{text}'")
-        on = _BOOL_SPELLINGS[text.lower()]
-        return (not f.default if on else f.default) if switch else on
+def _config_value(f: Field, text: str):
+    """Convert one config-file value."""
     if "parse" in f.metadata:
         return f.metadata["parse"](text)
+    kind = _TYPES[f.name]
     try:
         value = kind(text)
     except ValueError:
@@ -113,10 +102,8 @@ def _read_config_file(path: str) -> dict[str, object]:
     A key is a field name or its flag without the dashes (``n_b`` or
     ``nb``); dashes and underscores are interchangeable.
     """
-    keys: dict[str, tuple[Field, bool]] = {}
-    for f in _TRAIN_FIELDS:
-        keys[_flag(f).lstrip("-").replace("-", "_")] = (f, _TYPES[f.name] is bool)
-        keys[f.name] = (f, False)
+    keys = {key: f for f in _TRAIN_FIELDS
+            for key in (_flag(f).lstrip("-").replace("-", "_"), f.name)}
     values: dict[str, object] = {}
     try:
         with open(path) as fh:
@@ -130,9 +117,9 @@ def _read_config_file(path: str) -> dict[str, object]:
                 key = key.replace("-", "_")
                 if key not in keys:
                     raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-                f, switch = keys[key]
+                f = keys[key]
                 try:
-                    values[f.name] = _config_value(f, text, switch)
+                    values[f.name] = _config_value(f, text)
                 except ConfigError as err:
                     raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}")
     except OSError as err:

@@ -12,10 +12,9 @@ of the reference modality they use:
 * ``DROPF2FUSION`` ignores the reference entirely and acts as a skip.
 
 Routing is hard (top-1). To keep the gate trainable, the chosen expert's
-output is scaled by the gate's softmax probability of that slot. A flag
-turns the scaling off, which detaches the gate: it gets no gradient and
-keeps its initial weights. The gate is two fused graph nodes,
-``gate_logits`` and ``gate_probability``.
+output is always scaled by the gate's softmax probability of that slot,
+as in Switch Transformer's top-1 routing. The gate is two fused graph
+nodes, ``gate_logits`` and ``gate_probability``.
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ def _gate_pool(f: Tensor, proj: Tensor, gain: Tensor) -> tuple[np.ndarray, tuple
     as the numpy those ops run; returns the pooled row and what the
     backward reads."""
     h = f.data @ proj.data
-    rms = np.sqrt(np.mean(h * h, axis=1, keepdims=True) + 1e-8)  # rmsnorm's eps
+    rms = np.sqrt(np.mean(h * h, axis=1, keepdims=True) + nc.RMSNORM_EPS)
     normed = h / rms
     r = normed * gain.data
     cdf = special.ndtr(r)
@@ -338,7 +337,6 @@ def mome_forward(
     sample_id: str = "",
     layer_index: int = 0,
     key_chunk: int | None = None,
-    scale_by_gate_prob: bool = True,
 ) -> Tensor:
     """Route one sample through exactly one expert of this layer."""
     decision = gate(f1, f2, layer.gate, layer.enable_mask)
@@ -356,8 +354,7 @@ def mome_forward(
         out = snnfusion(f1, f2, layer.snn, training, rng)
     else:
         out = dropf2fusion(f1, f2)
-    if scale_by_gate_prob:
-        out = nc.mul(out, decision.probability)
+    out = nc.mul(out, decision.probability)
     if routing_log is not None:
         routing_log.append(
             RoutingRecord(

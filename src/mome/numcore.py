@@ -293,7 +293,10 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def rmsnorm(x, gain, eps: float = 1e-8) -> Tensor:
+RMSNORM_EPS = 1e-8
+
+
+def rmsnorm(x, gain, eps: float = RMSNORM_EPS) -> Tensor:
     """Divide each row by its root-mean-square, then scale per feature."""
     x, gain = _as_tensor(x), _as_tensor(gain)
     if x.ndim != 2:

@@ -24,6 +24,7 @@ from .bpe import ModelConfig, ModelSettings, MoMEModel, save_checkpoint, setting
 from .data import (
     ManifestRow,
     discretize_times,
+    kfold_split,
     read_feature_file,
     read_genomic_file,
     read_manifest,
@@ -292,8 +293,6 @@ def train_cohort(run: RunConfig, manifest_path, out_dir, emit=None) -> TrainSumm
     cohort = load_cohort(manifest_path, run.time_bins)
     folds = sorted({r.fold for r in cohort.rows if r.fold >= 0})
     if not folds:
-        from .data import kfold_split
-
         assignment = kfold_split(cohort.rows, k=run.folds, seed=run.seed)
         for row, fold in zip(cohort.rows, assignment):
             row.fold = fold

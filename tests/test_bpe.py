@@ -1,3 +1,4 @@
+import inspect
 import struct
 
 import numpy as np
@@ -122,47 +123,61 @@ class TestCanonicalRowOrder:
         self.assert_matches_lexsort(np.concatenate([rows, rows[::-1], rows[:2]]))
 
 
-class TestBpeRound:
-    def test_all_dropf2_is_identity(self):
-        config = small_config(enable_mask=(False, False, False, True))
+class TestRoundOrder:
+    """``MoMEModel.forward`` runs its layers in order and alternates the
+    modality each one encodes; every reference is the other modality's
+    latest encoding, never a stale one."""
+
+    @pytest.mark.parametrize("first", bpe.FIRST_ENCODED_CHOICES)
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_layers_alternate_against_the_latest_encoding(self, rounds, first, monkeypatch):
+        config = small_config(rounds=rounds, first_encoded=first)
         model = MoMEModel(config)
-        rng = nc.rng_stream(4)
-        f1 = nc.Tensor(rng.standard_normal((5, 8)))
-        f2 = nc.Tensor(rng.standard_normal((6, 8)))
-        out1, out2 = bpe.bpe_round(f1, f2, model.layers[0], model.layers[1])
-        assert np.array_equal(out1.data, f1.data)
-        assert np.array_equal(out2.data, f2.data)
+        patches, groups = random_sample(config, seed=rounds)
+        second = "genomics" if first == "pathology" else "pathology"
 
-    def test_shape_preservation(self):
-        config = small_config()
-        model = MoMEModel(config)
-        rng = nc.rng_stream(5)
-        f1 = nc.Tensor(rng.standard_normal((9, 8)))
-        f2 = nc.Tensor(rng.standard_normal((6, 8)))
-        out1, out2 = bpe.bpe_round(f1, f2, model.layers[0], model.layers[1])
-        assert out1.shape == (9, 8) and out2.shape == (6, 8)
+        embedded = {}
+        for name, attr in (("pathology", "embed_patches"), ("genomics", "embed_genomics")):
+            def embed(x, name=name, real=getattr(model, attr)):
+                embedded[name] = real(x)
+                return embedded[name]
 
-    def test_second_call_consumes_updated_first(self, monkeypatch):
-        config = small_config()
-        model = MoMEModel(config)
-        rng = nc.rng_stream(6)
-        f1 = nc.Tensor(rng.standard_normal((4, 8)))
-        f2 = nc.Tensor(rng.standard_normal((6, 8)))
+            monkeypatch.setattr(model, attr, embed)
 
-        calls = []
-        real = bpe.mome_forward
+        real_forward, calls = bpe.mome_forward, []
+        signature = inspect.signature(real_forward)
 
-        def recorder(f_enc, f_ref, layer, *args, **kwargs):
-            out = real(f_enc, f_ref, layer, *args, **kwargs)
-            calls.append((f_enc, f_ref, out))
+        def recorder(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            out = real_forward(*args, **kwargs)
+            calls.append((bound.arguments, out))
             return out
 
+        real_concat, concats = nc.concat_rows, []
+
+        def concat_recorder(parts):
+            concats.append(list(parts))
+            return real_concat(parts)
+
         monkeypatch.setattr(bpe, "mome_forward", recorder)
-        bpe.bpe_round(f1, f2, model.layers[0], model.layers[1])
-        assert len(calls) == 2
-        first_output = calls[0][2]
-        assert calls[1][1] is first_output
-        assert np.array_equal(calls[1][1].data, first_output.data)
+        monkeypatch.setattr(nc, "concat_rows", concat_recorder)
+        model.forward(patches, groups)
+
+        assert [call["layer_index"] for call, _ in calls] == list(range(2 * rounds))
+        assert all(call["layer"] is model.layers[i] for i, (call, _) in enumerate(calls))
+        assert calls[0][0]["f1"] is embedded[first]
+        assert calls[0][0]["f2"] is embedded[second]
+        for (_, out), (call, _) in zip(calls, calls[1:]):
+            assert call["f2"] is out
+        for (_, out), (call, _) in zip(calls, calls[2:]):
+            assert call["f1"] is out
+        assert all(out.shape == call["f1"].shape for call, out in calls)
+        # Calls 2R-2 and 2R-1 hold the last encoding of each modality.
+        latest = {first: calls[-2][1], second: calls[-1][1]}
+        readout = [model.cls_token, latest["pathology"], latest["genomics"]]
+        assert len(concats[-1]) == 3
+        assert all(got is want for got, want in zip(concats[-1], readout))
 
 
 class TestForward:
@@ -421,6 +436,7 @@ class TestCheckpointRoundtrip:
         model = MoMEModel(config)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
+        assert path.read_bytes()[41] == 1  # the gate-scaling flag is always on
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         for (name_a, t_a), (name_b, t_b) in zip(model.parameters(), loaded.parameters()):
@@ -437,6 +453,24 @@ class TestCheckpointRoundtrip:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset == 0
+
+    # Byte offsets of the config block's flags: magic (8), version (4) and six u32 (24)
+    # come first; then first_encoded, the four enable-mask flags and gate scaling.
+    @pytest.mark.parametrize("offset, value, message", [
+        (36, 7, "first_encoded"), (36, 2, "first_encoded"),
+        (37, 2, "enable-mask"), (38, 2, "enable-mask"), (39, 255, "enable-mask"),
+        (40, 2, "enable-mask"), (41, 0, "gate-scaling"), (41, 2, "gate-scaling"),
+    ])
+    def test_bad_flag_byte_rejected_at_its_offset(self, tmp_path, offset, value, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MoMEModel(small_config(seed=28)), path)
+        blob = bytearray(path.read_bytes())
+        assert blob[offset] in (0, 1)
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{message} flag {value}") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offset
 
     def test_truncation_rejected(self, tmp_path):
         model = MoMEModel(small_config(seed=23))

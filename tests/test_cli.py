@@ -189,8 +189,8 @@ def train_runs(cohort_dir, tmp_path, monkeypatch):
 
 # RunConfig field -> (flag argv, its value, config line, its value). Every field
 # needs a row, and the two values differ so that flag-over-file shows. A field
-# with two values (the bool switch, first_encoded) gets one non-default value
-# from its flag or from its config line, and the default from the other.
+# with two values (first_encoded) gets one non-default value from its flag or
+# from its config line, and the default from the other.
 FIELD_SETTINGS = {
     "d": (["--dim", "16"], 16, "d=32", 32),
     "rounds": (["--rounds", "3"], 3, "rounds=4", 4),
@@ -203,7 +203,6 @@ FIELD_SETTINGS = {
                       "first_encoded=genomics", "genomics"),
     "seed": (["--seed", "5"], 5, "seed=6", 6),
     "dropout_rate": (["--dropout", "0.5"], 0.5, "dropout_rate=0.1", 0.1),
-    "scale_by_gate_prob": (["--no-prob-scaling"], False, "scale_by_gate_prob=true", True),
     "epochs": (["--epochs", "3"], 3, "epochs=4", 4),
     "lr": (["--lr", "0.5"], 0.5, "lr=0.25", 0.25),
     "weight_decay": (["--weight-decay", "0.5"], 0.5, "weight_decay=0.25", 0.25),
@@ -229,10 +228,6 @@ class TestRunSettings:
         ("dropout=0.5", "dropout_rate", 0.5),
         ("experts=btf", "enable_mask", (False, True, False, False)),
         ("weight-decay=0.5", "weight_decay", 0.5),
-        ("no_prob_scaling=yes", "scale_by_gate_prob", False),
-        ("no_prob_scaling=0", "scale_by_gate_prob", True),
-        ("scale_by_gate_prob=No", "scale_by_gate_prob", False),
-        ("scale_by_gate_prob=1", "scale_by_gate_prob", True),
     ])
     def test_flag_spellings_and_bool_words_as_keys(self, train_runs, line, name, value):
         assert getattr(train_runs(config=line), name) == value
@@ -243,14 +238,16 @@ class TestRunSettings:
         assert f"{tmp_path / 'run.cfg'}:2" in err and "'epochs'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["epoch=1", "risk_mode=hazard_sum", "decoupled_wd=1"])
+    @pytest.mark.parametrize("line", ["epoch=1", "risk_mode=hazard_sum", "decoupled_wd=1",
+                                      "no_prob_scaling=1", "scale_by_gate_prob=true"])
     def test_unknown_key_rejected(self, train_runs, capsys, line):
         assert train_runs(config=line) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["no_prob_scaling=ture", "scale_by_gate_prob=2"])
-    def test_bad_bool_rejected(self, train_runs, line):
-        assert train_runs(config=line) == 2
+    def test_removed_flag_is_usage_error(self, train_runs):
+        with pytest.raises(SystemExit) as exc:
+            train_runs("--no-prob-scaling")
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("line", ["first_encoded=sideways", "experts=tf,xx"])
     def test_bad_choice_rejected_before_training(self, train_runs, line):
@@ -323,6 +320,19 @@ class TestEvalAndRouteStats:
                        "--manifest", str(cohort_dir / "manifest.csv"))
         assert code == 3
         assert f"byte offset {start}" in capsys.readouterr().err
+
+    # first_encoded, an enable-mask flag and the gate-scaling flag of the config block.
+    @pytest.mark.parametrize("offset, value", [(36, 7), (37, 2), (41, 0)])
+    def test_bad_checkpoint_flag_is_format_error(self, cohort_dir, trained, tmp_path,
+                                                 capsys, offset, value):
+        blob = bytearray((trained / "fold0.ckpt").read_bytes())
+        blob[offset] = value
+        path = tmp_path / "flag.ckpt"
+        path.write_bytes(bytes(blob))
+        code = run_cli("eval", "--checkpoint", str(path),
+                       "--manifest", str(cohort_dir / "manifest.csv"))
+        assert code == 3
+        assert f"byte offset {offset}" in capsys.readouterr().err
 
     def test_checkpoint_manifest_mismatch(self, cohort_dir, trained, tmp_path):
         other = tmp_path / "other"

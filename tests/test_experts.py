@@ -281,12 +281,6 @@ class TestMoMEForward:
         out = mome_forward(f1, f2, layer, training=False)
         assert layer.call_counts[ExpertId.SNNFUSION] == 1 and out.shape == f1.shape
 
-    def test_unscaled_variant_detaches_gate(self):
-        layer = make_layer(seed=40)
-        f1, f2 = random_bags(seed=41)
-        nc.reduce_sum(mome_forward(f1, f2, layer, scale_by_gate_prob=False)).backward()
-        assert layer.gate.w.grad is None
-
     def test_gate_weight_gradient_matches_finite_differences(self):
         layer = make_layer(d=6, seed=42, dropout_rate=0.0)
         rng = nc.rng_stream(43)
