@@ -20,10 +20,12 @@ u32, head_count u32, time_bins u32, d_in u32, first_encoded u8, four
 enable-mask u8 flags, a gate-scaling u8, dropout_rate f64, seed u64,
 n_groups u32 and one u32 group size each. Every flag byte is 0 or 1, and
 the gate-scaling byte is always 1: expert outputs are scaled by the gate
-probability. A file with any other value in a flag byte, a 0 in the
-gate-scaling byte included, is rejected at that byte's offset. The loader
-also validates the magic, version, every extent, the total byte count
-and that every payload value is finite.
+probability. The records appear in ``MoMEModel.parameters()`` order, and
+the loader reads them in that order. It reports a FormatError at the byte
+offset of every fault: a bad magic or version, any short read, a bad flag
+byte, a config value ``ModelConfig`` rejects (at that value's field), a
+misnamed record or wrong extents (at the record's start), a non-finite
+payload value and trailing bytes.
 """
 
 from __future__ import annotations
@@ -107,19 +109,24 @@ class ModelSettings:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ConfigError("at least one encoding round is required")
+            raise ConfigError("at least one encoding round is required", "rounds")
         if self.time_bins < 2:
-            raise ConfigError("at least two time bins are required")
-        if self.d < 1 or self.head_count < 1 or self.d % self.head_count:
-            raise ConfigError(f"width {self.d} not divisible into {self.head_count} heads")
+            raise ConfigError("at least two time bins are required", "time_bins")
+        indivisible = f"width {self.d} not divisible into {self.head_count} heads"
+        if self.d < 1:
+            raise ConfigError(indivisible, "d")
+        if self.head_count < 1 or self.d % self.head_count:
+            raise ConfigError(indivisible, "head_count")
         if self.n_b < 1:
-            raise ConfigError("bottleneck needs at least one token")
+            raise ConfigError("bottleneck needs at least one token", "n_b")
         if self.first_encoded not in FIRST_ENCODED_CHOICES:
-            raise ConfigError(f"first_encoded must be one of {FIRST_ENCODED_CHOICES}")
+            raise ConfigError(f"first_encoded must be one of {FIRST_ENCODED_CHOICES}",
+                              "first_encoded")
         if not any(self.enable_mask):
-            raise ConfigError("at least one expert must be enabled")
+            raise ConfigError("at least one expert must be enabled", "enable_mask")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}",
+                              "dropout_rate")
 
 
 @dataclass
@@ -130,9 +137,12 @@ class ModelConfig(ModelSettings):
     def __post_init__(self):
         super().__post_init__()
         if len(self.group_sizes) != N_GROUPS:
-            raise ConfigError(f"expected {N_GROUPS} group sizes")
-        if self.d_in < 1 or min(self.group_sizes) < 1:
-            raise ConfigError(f"input widths must be at least 1: {self.d_in}, {self.group_sizes}")
+            raise ConfigError(f"expected {N_GROUPS} group sizes", "group_sizes")
+        widths = f"input widths must be at least 1: {self.d_in}, {self.group_sizes}"
+        if self.d_in < 1:
+            raise ConfigError(widths, "d_in")
+        if min(self.group_sizes) < 1:
+            raise ConfigError(widths, "group_sizes")
 
     @property
     def layer_count(self) -> int:
@@ -283,137 +293,116 @@ def canonical_row_order(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The config block: each entry is a ModelConfig field (or, for the
+# gate-scaling byte and the group count, a fixed value) and its struct code.
+_CONFIG_FIELDS = (
+    ("d", "I"), ("rounds", "I"), ("n_b", "I"), ("head_count", "I"), ("time_bins", "I"),
+    ("d_in", "I"), ("first_encoded", "B"), ("enable_mask", "4B"), ("gate_scaling", "B"),
+    ("dropout_rate", "d"), ("seed", "Q"), ("n_groups", "I"), ("group_sizes", f"{N_GROUPS}I"),
+)
+_CONFIG_BLOCK = struct.Struct("<" + "".join(code for _, code in _CONFIG_FIELDS))
+_U32 = struct.Struct("<I")
+_CONFIG_START = len(CHECKPOINT_MAGIC) + _U32.size  # after the magic and the version
+# Byte offset of each config field in the file.
+_CONFIG_AT = {
+    name: _CONFIG_START + struct.calcsize("<" + "".join(code for _, code in _CONFIG_FIELDS[:i]))
+    for i, (name, _) in enumerate(_CONFIG_FIELDS)
+}
+
+
+def _take(buf: bytes, offset: int, size: int, what: str) -> bytes:
+    """The ``size`` bytes at ``offset``; a short read is a FormatError there."""
+    if len(buf) < offset + size:
+        raise FormatError(f"truncated {what}: needs {size} bytes, {len(buf) - offset} left",
+                          offset)
+    return buf[offset : offset + size]
+
+
 def _pack_config(config: ModelConfig) -> bytes:
-    head = struct.pack(
-        "<6I",
-        config.d,
-        config.rounds,
-        config.n_b,
-        config.head_count,
-        config.time_bins,
-        config.d_in,
-    )
-    flags = struct.pack(
-        "<6B",
+    return _CONFIG_BLOCK.pack(
+        config.d, config.rounds, config.n_b, config.head_count, config.time_bins, config.d_in,
         FIRST_ENCODED_CHOICES.index(config.first_encoded),
         *(1 if b else 0 for b in config.enable_mask),
         1,  # gate scaling, always on
+        config.dropout_rate, config.seed & 0xFFFFFFFFFFFFFFFF,
+        N_GROUPS, *config.group_sizes,
     )
-    tail = struct.pack("<dQ", config.dropout_rate, config.seed & 0xFFFFFFFFFFFFFFFF)
-    groups = struct.pack("<I", N_GROUPS) + struct.pack(f"<{N_GROUPS}I", *config.group_sizes)
-    return head + flags + tail + groups
 
 
-def _unpack_config(buf: bytes, offset: int) -> tuple[ModelConfig, int]:
-    try:
-        d, rounds, n_b, heads, bins, d_in = struct.unpack_from("<6I", buf, offset)
-        offset += 24
-        flags_at = offset
-        first, *mask, scaled = struct.unpack_from("<6B", buf, offset)
-        offset += 6
-        dropout, seed = struct.unpack_from("<dQ", buf, offset)
-        offset += 16
-        (n_groups,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if n_groups != N_GROUPS:
-            raise FormatError(f"checkpoint has {n_groups} genomic groups, expected {N_GROUPS}",
-                              offset - 4)
-        sizes = struct.unpack_from(f"<{N_GROUPS}I", buf, offset)
-        offset += 4 * N_GROUPS
-    except struct.error as err:
-        raise FormatError(f"truncated config block: {err}", offset)
+def _unpack_config(buf: bytes) -> ModelConfig:
+    block = _take(buf, _CONFIG_START, _CONFIG_BLOCK.size, "config block")
+    (d, rounds, n_b, heads, bins, d_in, first, tf, btf, snn, df, scaled, dropout, seed,
+     n_groups, *sizes) = _CONFIG_BLOCK.unpack(block)
+    at = _CONFIG_AT
+    mask = (tf, btf, snn, df)
     if first >= len(FIRST_ENCODED_CHOICES):
-        raise FormatError(f"invalid first_encoded flag {first}", flags_at)
+        raise FormatError(f"invalid first_encoded flag {first}", at["first_encoded"])
     for i, value in enumerate(mask):
         if value > 1:
-            raise FormatError(f"invalid enable-mask flag {value}", flags_at + 1 + i)
+            raise FormatError(f"invalid enable-mask flag {value}", at["enable_mask"] + i)
     if scaled != 1:
         raise FormatError(f"invalid gate-scaling flag {scaled}: only 1 (outputs scaled by "
-                          "the gate probability) is supported", flags_at + 5)
+                          "the gate probability) is supported", at["gate_scaling"])
+    if n_groups != N_GROUPS:
+        raise FormatError(f"checkpoint has {n_groups} genomic groups, expected {N_GROUPS}",
+                          at["n_groups"])
     try:
-        config = ModelConfig(
-            d=d,
-            rounds=rounds,
-            n_b=n_b,
-            head_count=heads,
-            time_bins=bins,
+        return ModelConfig(
+            d=d, rounds=rounds, n_b=n_b, head_count=heads, time_bins=bins, d_in=d_in,
             enable_mask=tuple(value == 1 for value in mask),
-            first_encoded=FIRST_ENCODED_CHOICES[first],
-            seed=seed,
-            d_in=d_in,
-            group_sizes=tuple(int(s) for s in sizes),
-            dropout_rate=dropout,
+            first_encoded=FIRST_ENCODED_CHOICES[first], seed=seed,
+            group_sizes=tuple(sizes), dropout_rate=dropout,
         )
     except ConfigError as err:
-        raise FormatError(f"invalid config block: {err}", offset)
-    return config, offset
+        raise FormatError(f"invalid config block: {err}", at[err.field])
+
+
+def _record_header(name: str, tensor: Tensor) -> bytes:
+    """A parameter record up to its payload: name length u16, name, rank u8, extents."""
+    encoded = name.encode("utf-8")
+    return (struct.pack("<H", len(encoded)) + encoded
+            + struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape))
 
 
 def save_checkpoint(model: MoMEModel, path) -> None:
     named = model.parameters()
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-              _pack_config(model.config), struct.pack("<I", len(named))]
+    chunks = [CHECKPOINT_MAGIC, _U32.pack(CHECKPOINT_VERSION),
+              _pack_config(model.config), _U32.pack(len(named))]
     for name, tensor in named:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", tensor.ndim))
-        chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+        chunks.append(_record_header(name, tensor))
         chunks.append(tensor.data.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
 def load_checkpoint(path) -> MoMEModel:
+    """The model ``save_checkpoint`` wrote: every part is read in the order it
+    is written, and the records must follow ``MoMEModel.parameters()``."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {buf[:8]!r}", 0)
     offset = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    (version,) = _U32.unpack(_take(buf, offset, _U32.size, "checkpoint version"))
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset - 4)
-    config, offset = _unpack_config(buf, offset)
-    model = MoMEModel(config)
-    expected = dict(model.parameters())
-    try:
-        (count,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-    except struct.error:
-        raise FormatError("truncated parameter count", offset)
-    if count != len(expected):
-        raise FormatError(
-            f"checkpoint has {count} parameters, model expects {len(expected)}", offset - 4
-        )
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            name = buf[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", buf, offset)
-            offset += 1
-            extents = struct.unpack_from(f"<{rank}I", buf, offset)
-            offset += 4 * rank
-        except (struct.error, UnicodeDecodeError) as err:
-            raise FormatError(f"corrupt parameter record: {err}", offset)
-        if name not in expected:
-            raise FormatError(f"unknown parameter '{name}' in checkpoint", offset)
-        tensor = expected[name]
-        if tuple(extents) != tensor.shape:
-            raise FormatError(
-                f"parameter '{name}' has extents {tuple(extents)}, expected {tensor.shape}",
-                offset,
-            )
-        nbytes = 8 * int(np.prod(extents)) if extents else 8
-        payload = buf[offset : offset + nbytes]
-        if len(payload) != nbytes:
-            raise FormatError(
-                f"parameter '{name}' payload has {len(payload)} bytes, expected {nbytes}",
-                offset,
-            )
-        values = np.frombuffer(payload, dtype="<f8")
+        raise FormatError(f"unsupported checkpoint version {version}", offset)
+    model = MoMEModel(_unpack_config(buf))
+    named = model.parameters()
+    offset = _CONFIG_START + _CONFIG_BLOCK.size
+    (count,) = _U32.unpack(_take(buf, offset, _U32.size, "parameter count"))
+    if count != len(named):
+        raise FormatError(f"checkpoint has {count} parameters, model expects {len(named)}",
+                          offset)
+    offset += _U32.size
+    for name, tensor in named:
+        header = _record_header(name, tensor)
+        found = _take(buf, offset, len(header), f"record of parameter '{name}'")
+        if found != header:
+            raise FormatError(f"expected the record of parameter '{name}' with extents "
+                              f"{tensor.shape}, found header bytes {found!r}", offset)
+        offset += len(header)
+        values = np.frombuffer(
+            _take(buf, offset, tensor.data.nbytes, f"payload of parameter '{name}'"), "<f8")
         # The payload is written into place, past the Tensor finite check.
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
@@ -421,9 +410,8 @@ def load_checkpoint(path) -> MoMEModel:
                 f"parameter '{name}' holds non-finite value {float(values[bad[0]])!r}",
                 offset + 8 * int(bad[0]),
             )
-        tensor.data[...] = values.reshape(extents)
-        offset += nbytes
+        tensor.data[...] = values.reshape(tensor.shape)
+        offset += values.nbytes
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after last parameter", offset)
     return model
-

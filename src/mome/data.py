@@ -40,6 +40,11 @@ from .numcore import rng_stream
 FEATURE_MAGIC = b"MMEF"
 GENOMIC_MAGIC = b"MMEG"
 FORMAT_VERSION = 1
+# Headers shared by writer and reader: magic, version, n_tokens, dim of a
+# feature file; magic, version of a genomic file; id, length of each group.
+FEATURE_HEADER = struct.Struct("<4sIII")
+GENOMIC_HEADER = struct.Struct("<4sI")
+GENOMIC_BLOCK = struct.Struct("<BI")
 
 MANIFEST_HEADER = ["sample_id", "patho_path", "geno_path", "raw_time", "censored", "fold"]
 
@@ -111,8 +116,7 @@ def write_feature_file(path, bag: np.ndarray) -> None:
     n, dim = arr.shape
     payload = _float32_payload(arr, "feature")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, n, dim))
+        fh.write(FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, n, dim))
         fh.write(payload.tobytes())
 
 
@@ -121,21 +125,22 @@ def read_feature_file(path) -> np.ndarray:
         buf = fh.read()
     if buf[:4] != FEATURE_MAGIC:
         raise FormatError(f"bad feature magic {buf[:4]!r}", 0)
-    if len(buf) < 16:
-        raise FormatError(f"feature header needs 16 bytes, file has {len(buf)}", len(buf))
-    version, n, dim = struct.unpack_from("<III", buf, 4)
+    start = FEATURE_HEADER.size
+    if len(buf) < start:
+        raise FormatError(f"feature header needs {start} bytes, file has {len(buf)}", len(buf))
+    _, version, n, dim = FEATURE_HEADER.unpack_from(buf)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported feature file version {version}", 4)
     if n < 1:
         raise FormatError("feature file declares zero tokens", 8)
     if dim < 1:
         raise FormatError("feature file declares zero width", 12)
-    expected = 16 + 4 * n * dim
+    expected = start + 4 * n * dim
     if len(buf) != expected:
-        raise FormatError(f"feature payload: expected {expected} bytes, got {len(buf)}", 16)
-    values = np.frombuffer(buf, dtype="<f4", offset=16).astype(np.float64)
+        raise FormatError(f"feature payload: expected {expected} bytes, got {len(buf)}", start)
+    values = np.frombuffer(buf, dtype="<f4", offset=start).astype(np.float64)
     if not _all_finite(values):
-        _check_finite_payload(values, 16, "feature payload")
+        _check_finite_payload(values, start, "feature payload")
     return values.reshape(n, dim)
 
 
@@ -145,10 +150,9 @@ def write_genomic_file(path, groups: GenomicGroups) -> None:
         if len(values) < 1:
             raise DataError(f"genomic group {group_id} is empty")
         payload = _float32_payload(values, f"genomic group {group_id}")
-        blocks.append(struct.pack("<BI", group_id, len(values)) + payload.tobytes())
+        blocks.append(GENOMIC_BLOCK.pack(group_id, len(values)) + payload.tobytes())
     with open(path, "wb") as fh:
-        fh.write(GENOMIC_MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(GENOMIC_HEADER.pack(GENOMIC_MAGIC, FORMAT_VERSION))
         fh.write(b"".join(blocks))
 
 
@@ -157,23 +161,22 @@ def read_genomic_file(path) -> GenomicGroups:
         buf = fh.read()
     if buf[:4] != GENOMIC_MAGIC:
         raise FormatError(f"bad genomic magic {buf[:4]!r}", 0)
-    if len(buf) < 8:
-        raise FormatError(f"genomic header needs 8 bytes, file has {len(buf)}", len(buf))
-    (version,) = struct.unpack_from("<I", buf, 4)
+    offset = GENOMIC_HEADER.size
+    if len(buf) < offset:
+        raise FormatError(f"genomic header needs {offset} bytes, file has {len(buf)}", len(buf))
+    _, version = GENOMIC_HEADER.unpack_from(buf)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported genomic file version {version}", 4)
-    offset = 8
     values, starts = [], []
     for expected_id in range(N_GROUPS):
-        try:
-            group_id, length = struct.unpack_from("<BI", buf, offset)
-        except struct.error:
+        if len(buf) < offset + GENOMIC_BLOCK.size:
             raise FormatError(f"truncated genomic block header (group {expected_id})", offset)
+        group_id, length = GENOMIC_BLOCK.unpack_from(buf, offset)
         if group_id != expected_id:
             raise FormatError(f"genomic group id {group_id}, expected {expected_id}", offset)
         if length < 1:
             raise FormatError(f"genomic group {group_id} is empty", offset)
-        offset += 5
+        offset += GENOMIC_BLOCK.size
         nbytes = 4 * length
         if len(buf) < offset + nbytes:
             raise FormatError(

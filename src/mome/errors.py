@@ -16,7 +16,12 @@ class ShapeError(MomeError):
 
 
 class ConfigError(MomeError):
-    """A configuration value is out of range or unrecognized."""
+    """A configuration value is out of range or unrecognized; ``field``
+    names the rejected setting when the check is about one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UsageError(MomeError):

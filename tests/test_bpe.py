@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import struct
 
@@ -424,6 +425,19 @@ class TestPrunedRowsAtModelLevel:
                 assert np.max(np.abs(grad - sliced_grads[name])) <= 1e-12, name
 
 
+def record_spans(model):
+    """(name, start, end) of each parameter record in the checkpoint of ``model``:
+    magic (8), version (4), the config block (74) and the record count (4) come
+    first, then per record a u16 name length, the name, a u8 rank, u32 extents
+    and the float64 payload."""
+    spans, offset = [], 8 + 4 + 74 + 4
+    for name, tensor in model.parameters():
+        end = offset + 2 + len(name) + 1 + 4 * tensor.ndim + 8 * tensor.data.size
+        spans.append((name, offset, end))
+        offset = end
+    return spans
+
+
 class TestCheckpointRoundtrip:
     def test_parameter_names_are_pinned(self):
         names = [name for name, _ in MoMEModel(ModelConfig()).parameters()]
@@ -453,6 +467,37 @@ class TestCheckpointRoundtrip:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset == 0
+
+    @pytest.mark.parametrize("tail", [b"", b"\x01", b"\x01\x00\x00"], ids=["8", "9", "11"])
+    def test_file_cut_inside_the_version_rejected_at_its_offset(self, tmp_path, tail):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(bpe.CHECKPOINT_MAGIC + tail)
+        with pytest.raises(FormatError, match="version") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 8
+
+    def test_misnamed_record_rejected_at_its_start(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MoMEModel(small_config(seed=29)), path)
+        blob = path.read_bytes()
+        at = blob.index(b"layer0.tf.query")
+        path.write_bytes(blob.replace(b"layer0.tf.query", b"layer1.tf.query", 1))
+        with pytest.raises(FormatError, match="layer0.tf.query") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at - 2  # the record starts with its u16 name length
+
+    def test_swapped_records_rejected_at_the_first(self, tmp_path):
+        model = MoMEModel(small_config(seed=30))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        spans = {name: (start, end) for name, start, end in record_spans(model)}
+        (q0, q1), (k0, k1) = spans["layer0.tf.query"], spans["layer0.tf.key"]
+        assert q1 == k0
+        path.write_bytes(blob[:q0] + blob[k0:k1] + blob[q0:q1] + blob[k1:])
+        with pytest.raises(FormatError, match="layer0.tf.query") as err:
+            load_checkpoint(path)
+        assert err.value.offset == q0
 
     # Byte offsets of the config block's flags: magic (8), version (4) and six u32 (24)
     # come first; then first_encoded, the four enable-mask flags and gate scaling.
@@ -508,17 +553,61 @@ class TestCheckpointRoundtrip:
             load_checkpoint(path)
         assert err.value.offset == bad
 
-    @pytest.mark.parametrize("rate", [1.5, np.nan])
-    def test_out_of_range_config_value_is_format_error(self, tmp_path, rate):
+    # Magic (8) and version (4) precede the config block: d at 12, rounds at 16,
+    # time_bins at 28, dropout_rate at 42 (after six u32 and six u8 flags) and
+    # the group sizes at 62 (after the seed u64 and the group count u32).
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (42, "<d", 1.5, "dropout_rate"), (42, "<d", np.nan, "dropout_rate"),
+        (12, "<I", 0, "width 0"), (16, "<I", 0, "encoding round"),
+        (28, "<I", 1, "time bins"), (62, "<I", 0, "input widths"),
+    ], ids=["1.5", "nan", "d-0", "rounds-0", "time_bins-1", "group_size-0"])
+    def test_out_of_range_config_value_is_format_error(self, tmp_path, offset, fmt, value,
+                                                       message):
         model = MoMEModel(small_config(seed=27))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
-        # magic, version, six u32 and six u8 flags precede dropout_rate.
-        struct.pack_into("<d", blob, 8 + 4 + 24 + 6, rate)
+        struct.pack_into(fmt, blob, offset, value)
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="dropout_rate"):
+        with pytest.raises(FormatError, match=message) as err:
             load_checkpoint(path)
+        assert err.value.offset == offset
+
+    def test_truncation_sweep_always_a_positioned_format_error(self, tmp_path):
+        """Every cut up to the end of the first record, and each later record
+        boundary with one byte either side, fails at or before the cut."""
+        model = MoMEModel(small_config(seed=31, rounds=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        spans = record_spans(model)
+        assert spans[-1][2] == len(blob)
+        cuts = set(range(spans[0][2] + 1))
+        cuts.update(end + delta for _, _, end in spans for delta in (-1, 0, 1))
+        cut_path = tmp_path / "cut.ckpt"
+        for cut in sorted(cut for cut in cuts if cut < len(blob)):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as err:
+                load_checkpoint(cut_path)
+            assert err.value.offset is not None and err.value.offset <= cut, cut
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        """Every parameter holds a fixed value, so the file's bytes depend on
+        the layout alone; any change to that layout changes this digest."""
+        config = ModelConfig(d=8, rounds=1, n_b=2, head_count=2, time_bins=3, seed=5, d_in=4,
+                             group_sizes=(2, 3, 1, 2, 4, 1), dropout_rate=0.125,
+                             first_encoded="genomics", enable_mask=(True, False, True, True))
+        model = MoMEModel(config)
+        for i, (_, tensor) in enumerate(model.parameters()):
+            tensor.data[...] = (np.arange(tensor.data.size).reshape(tensor.shape) - i) / 8.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ef2b961c6e3607194d8de7e3123f8cabcb04b5ea5dd43bb92c4b18ea8c37173b")
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         model = MoMEModel(small_config(seed=25))

@@ -334,6 +334,17 @@ class TestEvalAndRouteStats:
         assert code == 3
         assert f"byte offset {offset}" in capsys.readouterr().err
 
+    def test_checkpoint_cut_inside_its_version_is_format_error(self, cohort_dir, tmp_path,
+                                                              capsys):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MOMEMODL\x01")
+        code = run_cli("eval", "--checkpoint", str(path),
+                       "--manifest", str(cohort_dir / "manifest.csv"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "byte offset 8" in lines[0]
+
     def test_checkpoint_manifest_mismatch(self, cohort_dir, trained, tmp_path):
         other = tmp_path / "other"
         synthesize_cohort(12, 4, 5, "patho", 0.0, seed=1, out_dir=other)

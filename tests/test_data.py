@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -88,8 +89,21 @@ class TestFeatureFileFormat:
         with pytest.raises(FormatError):
             read_feature_file(path)
 
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "bag.mmef"
+        write_feature_file(path, (np.arange(15.0).reshape(5, 3) - 7) / 4)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c7751fcb0bd22eedd231d894c3d3b72636d570e219b72790aa0f8c0678cdf626")
+
 
 class TestGenomicFileFormat:
+    def test_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "g.mmeg"
+        write_genomic_file(path, GenomicGroups(tuple(np.arange(n, dtype=float) / 2 - 1
+                                                     for n in range(1, 7))))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f8a3cb52dab34408b3c9cc64c7806816d847ca27a0a3059fec5ba6720a11c5ea")
+
     def test_roundtrip(self, tmp_path):
         rng = nc.rng_stream(62)
         groups = GenomicGroups(
