@@ -11,21 +11,28 @@ rng = nc.rng_stream(42)
 # --- forward and backward -------------------------------------------------
 x = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 w = nc.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+bias = nc.Tensor(rng.standard_normal(2), requires_grad=True)
 
-hidden = nc.elu(nc.matmul(x, w))
-loss = nc.reduce_sum(nc.mul(hidden, hidden))
+
+def squared_norm():
+    """Sum of squares of x @ w + bias (the bias row broadcasts over rows)."""
+    hidden = nc.add(nc.matmul(x, w), bias)
+    return nc.reduce_sum(nc.mul(hidden, hidden))
+
+
+loss = squared_norm()
 loss.backward()
 
 print("loss:", loss.item())
-print("gradient shapes:", x.grad.shape, w.grad.shape)
+print("gradient shapes:", x.grad.shape, w.grad.shape, bias.grad.shape)
 
 # --- spot-check one entry against a central difference ----------------------
 h = 1e-5
 orig = w.data[1, 0]
 w.data[1, 0] = orig + h
-hi = nc.reduce_sum(nc.mul(nc.elu(nc.matmul(x, w)), nc.elu(nc.matmul(x, w)))).item()
+hi = squared_norm().item()
 w.data[1, 0] = orig - h
-lo = nc.reduce_sum(nc.mul(nc.elu(nc.matmul(x, w)), nc.elu(nc.matmul(x, w)))).item()
+lo = squared_norm().item()
 w.data[1, 0] = orig
 numeric = (hi - lo) / (2 * h)
 print(f"analytic {w.grad[1, 0]:+.8f}  numeric {numeric:+.8f}")

@@ -37,8 +37,8 @@ print("identity with mismatched keys (expected False):", broken.ok)
 # Streaming vs dense on a large bag.
 tokens = nc.Tensor(rng.standard_normal((3000, 16)))
 with nc.no_grad():
-    dense = self_attention(tokens, params).data
+    dense = self_attention([tokens], params).data
     for chunk in (1, 64, 4096):
-        streamed = self_attention(tokens, params, key_chunk=chunk).data
+        streamed = self_attention([tokens], params, key_chunk=chunk).data
         print(f"key_chunk={chunk:5d}: max |dense - streamed| = "
               f"{np.max(np.abs(dense - streamed)):.2e}")

@@ -10,6 +10,7 @@
 import numpy as np
 
 import mome.numcore as nc
+from mome.attention import self_attention
 from mome.experts import (
     ExpertId,
     MoMELayer,
@@ -34,6 +35,11 @@ print("bottleneck: ", bottleneck_transfusion(
 print("snnfusion:  ", snnfusion(f1, f2, layer.snn, training=False,
                                 rng=nc.rng_stream(0)).shape)
 print("dropf2:     ", dropf2fusion(f1, f2).shape, "(returns f1 unchanged)")
+
+# Transfusion is self-attention over the stacked bags with f1 as the
+# query bag: the kernel computes only f1's five rows.
+print("transfusion is self_attention([f1, f2]):", np.array_equal(
+    transfusion(f1, f2, layer.tf).data, self_attention([f1, f2], layer.tf).data))
 
 # The gate scores all four slots from both bags.
 decision = gate(f1, f2, layer.gate)

@@ -10,12 +10,12 @@ accumulation roundoff. The same op splits the heads: it walks each
 head's column slice of the projected queries, keys and values inside one
 graph node, so H heads cost no extra nodes.
 
-The online softmax is exact for any set of query rows, so a caller that
-keeps only a prefix of the output (``self_attention(..., rows=k)``)
-projects and attends exactly those k query rows against every key. The
-kept rows and every gradient equal "full, then slice" to roundoff: BLAS
-may round a k-row product differently from the same rows inside a larger
-one.
+The online softmax is exact for any set of query rows, so
+:func:`self_attention` takes its query bag as the first of the parts it
+stacks, and projects and attends exactly those rows against every key.
+Its rows and every gradient equal "attend every row, then keep the query
+rows" to roundoff: BLAS may round a k-row product differently from the
+same rows inside a larger one.
 
 The kernel takes no mask: the model never hides a score. The cross-modal
 embedding identity is shipped as an executable check instead: concatenated
@@ -28,6 +28,7 @@ out (:func:`cross_block_mask`) matches the kernel's co-attention. See
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -190,27 +191,24 @@ def _attend(
 
 
 def self_attention(
-    tokens: Tensor,
+    parts: Sequence[Tensor],
     params: AttentionParams,
     key_chunk: int | None = None,
-    rows: int | None = None,
 ) -> Tensor:
-    """Attend a token bag to itself: softmax((XQ)(XK)ᵀ/√d_head)(XV).
+    """Self-attention over the stacked ``parts``, for the query rows of
+    ``parts[0]``: softmax((P₀Q)(XK)ᵀ/√d_head)(XV) with X = [P₀; P₁; …].
 
-    With ``rows`` set, queries are projected from the first ``rows`` tokens
-    only and the kernel computes exactly those output rows; keys and values
-    still come from every token. The result and every gradient equal the
-    full output sliced to those rows up to roundoff, not bit for bit.
+    Only the rows of ``parts[0]`` are projected to queries, so the kernel
+    computes exactly one output row per query row; keys and values come
+    from every row of every part.
     """
-    if tokens.ndim != 2 or tokens.shape[1] != params.width:
-        raise ShapeError(f"token bag shape {tokens.shape} does not match width {params.width}")
-    n = tokens.shape[0]
-    if n < 1:
-        raise DataError("self_attention needs at least one token")
-    if rows is not None and not 1 <= rows <= n:
-        raise ShapeError(f"cannot keep {rows} rows of a {n}-token bag")
-    queries = tokens if rows in (None, n) else nc.slice_rows(tokens, 0, rows)
-    return _attend(queries, tokens, params, key_chunk)
+    for bag in parts:
+        if bag.ndim != 2 or bag.shape[1] != params.width:
+            raise ShapeError(f"token bag shape {bag.shape} does not match width {params.width}")
+    if not parts or parts[0].shape[0] < 1:
+        raise DataError("self_attention needs at least one query row")
+    keys_from = parts[0] if len(parts) == 1 else nc.concat_rows(parts)
+    return _attend(parts[0], keys_from, params, key_chunk)
 
 
 def co_attention(

@@ -273,8 +273,8 @@ class MoMEModel:
         else:
             f_patho, f_geno = f2, f1
 
-        tokens = nc.concat_rows([self.cls_token, f_patho, f_geno])
-        cls_out = self_attention(tokens, self.readout, key_chunk=key_chunk, rows=1)
+        cls_out = self_attention([self.cls_token, f_patho, f_geno], self.readout,
+                                 key_chunk=key_chunk)
         return nc.add(nc.matmul(cls_out, self.head_w), self.head_b)
 
 

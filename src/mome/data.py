@@ -26,6 +26,7 @@ order-independent and byte-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -138,7 +139,8 @@ def read_feature_file(path) -> np.ndarray:
     expected = start + 4 * n * dim
     if len(buf) != expected:
         raise FormatError(f"feature payload: expected {expected} bytes, got {len(buf)}", start)
-    values = np.frombuffer(buf, dtype="<f4", offset=start).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is reported below
+        values = np.frombuffer(buf, dtype="<f4", offset=start).astype(np.float64)
     if not _all_finite(values):
         _check_finite_payload(values, start, "feature payload")
     return values.reshape(n, dim)
@@ -184,11 +186,13 @@ def read_genomic_file(path) -> GenomicGroups:
                 f"got {len(buf) - offset}",
                 offset,
             )
-        values.append(np.frombuffer(buf, dtype="<f4", count=length, offset=offset).astype(np.float64))
+        values.append(np.frombuffer(buf, dtype="<f4", count=length, offset=offset))
         starts.append(offset)
         offset += nbytes
     if offset != len(buf):
         raise FormatError(f"{len(buf) - offset} trailing bytes after last group", offset)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is reported below
+        values = [v.astype(np.float64) for v in values]
     if not _all_finite(np.concatenate(values)):
         for group_id, (start, group) in enumerate(zip(starts, values)):
             _check_finite_payload(group, start, f"genomic group {group_id}")
@@ -234,30 +238,42 @@ def write_manifest(path, rows: list[ManifestRow]) -> None:
 def read_manifest(path) -> list[ManifestRow]:
     base = os.path.dirname(os.path.abspath(path))
     rows: list[ManifestRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise FormatError(f"manifest header {header} != {MANIFEST_HEADER}")
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(MANIFEST_HEADER):
-                raise FormatError(f"manifest line {lineno} has {len(record)} fields")
-            sample_id, patho, geno, raw_time, censored, fold = record
-            if censored not in ("0", "1"):
-                raise FormatError(f"manifest line {lineno}: censored must be 0/1, got {censored}")
-            try:
-                time_value = float(raw_time)
-                fold_value = int(fold)
-            except ValueError as err:
-                raise FormatError(f"manifest line {lineno}: {err}")
-            if not 0 < time_value < math.inf:
-                raise FormatError(f"manifest line {lineno}: raw_time {raw_time} "
-                                  f"is not positive and finite")
-            if fold_value < -1:
-                raise FormatError(f"manifest line {lineno}: fold must be >= -1")
-            rows.append(
-                ManifestRow(sample_id, patho, geno, time_value, censored == "1", fold_value)
-            )
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"manifest line {line}: byte {raw[err.start]:#04x} is not UTF-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records = []  # (last physical line, fields): a quoted field may span lines
+    try:
+        for record in reader:
+            records.append((reader.line_num, record))
+    except csv.Error as err:
+        raise FormatError(f"manifest line {reader.line_num}: {err}")
+    header = records[0][1] if records else None
+    if header != MANIFEST_HEADER:
+        raise FormatError(f"manifest header {header} != {MANIFEST_HEADER}")
+    for lineno, record in records[1:]:
+        if len(record) != len(MANIFEST_HEADER):
+            raise FormatError(f"manifest line {lineno} has {len(record)} fields")
+        sample_id, patho, geno, raw_time, censored, fold = record
+        if censored not in ("0", "1"):
+            raise FormatError(f"manifest line {lineno}: censored must be 0/1, got {censored}")
+        try:
+            time_value = float(raw_time)
+            fold_value = int(fold)
+        except ValueError as err:
+            raise FormatError(f"manifest line {lineno}: {err}")
+        if not 0 < time_value < math.inf:
+            raise FormatError(f"manifest line {lineno}: raw_time {raw_time} "
+                              f"is not positive and finite")
+        if fold_value < -1:
+            raise FormatError(f"manifest line {lineno}: fold must be >= -1")
+        rows.append(
+            ManifestRow(sample_id, patho, geno, time_value, censored == "1", fold_value)
+        )
     ids = [r.sample_id for r in rows]
     if len(set(ids)) != len(ids):
         raise DataError("manifest sample_ids are not unique")

@@ -14,7 +14,10 @@ of the reference modality they use:
 Routing is hard (top-1). To keep the gate trainable, the chosen expert's
 output is always scaled by the gate's softmax probability of that slot,
 as in Switch Transformer's top-1 routing. The gate is two fused graph
-nodes, ``gate_logits`` and ``gate_probability``.
+nodes, ``gate_logits`` and ``gate_probability``, and the SNN expert is
+one, ``snnfusion``; both normalize with the one RMSNorm of this module.
+The attention experts hand their query bag and key bags to
+:func:`~mome.attention.self_attention`.
 """
 
 from __future__ import annotations
@@ -104,6 +107,11 @@ class SnnParams(nc.ParameterSet):
     gain1: Tensor
     gain2: Tensor
     dropout_rate: float = 0.25
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}",
+                              "dropout_rate")
 
     @classmethod
     def create(cls, d: int, rng: np.random.Generator, dropout_rate: float = 0.25) -> "SnnParams":
@@ -241,14 +249,30 @@ def gate(
     return GateDecision(expert=chosen, logits=logits, probability=probability)
 
 
+RMSNORM_EPS = 1e-8
+
+
+def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of ``x`` over its root-mean-square, then scaled per feature;
+    returns the result, the ``[n, 1]`` RMS column and the unscaled rows."""
+    rms = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + RMSNORM_EPS)
+    normed = x / rms
+    return normed * gain, rms, normed
+
+
+def _rmsnorm_backward(g: np.ndarray, x: np.ndarray, gain: np.ndarray, rms: np.ndarray,
+                      normed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of :func:`_rmsnorm` with respect to ``x`` and ``gain``."""
+    gy = g * gain
+    dot = np.sum(gy * x, axis=1, keepdims=True)
+    return gy / rms - x * dot / (x.shape[1] * rms**3), np.sum(g * normed, axis=0)
+
+
 def _gate_pool(f: Tensor, proj: Tensor, gain: Tensor) -> tuple[np.ndarray, tuple]:
-    """One bag's gate branch, ``mean_rows(gelu(rmsnorm(f @ proj, gain)))``,
-    as the numpy those ops run; returns the pooled row and what the
-    backward reads."""
+    """One bag's gate branch, the row mean of ``gelu(rmsnorm(f @ proj))``;
+    returns the pooled row and what the backward reads."""
     h = f.data @ proj.data
-    rms = np.sqrt(np.mean(h * h, axis=1, keepdims=True) + nc.RMSNORM_EPS)
-    normed = h / rms
-    r = normed * gain.data
+    r, rms, normed = _rmsnorm(h, gain.data)
     cdf = special.ndtr(r)
     a = r * cdf
     return a.sum(axis=0, keepdims=True) / a.shape[0], (h, rms, normed, r, cdf)
@@ -257,28 +281,22 @@ def _gate_pool(f: Tensor, proj: Tensor, gain: Tensor) -> tuple[np.ndarray, tuple
 def _gate_pool_backward(g_pooled: np.ndarray, f: Tensor, proj: Tensor, gain: Tensor,
                         saved: tuple) -> None:
     h, rms, normed, r, cdf = saved
-    n, d = h.shape
     pdf = np.exp(-0.5 * r * r) * _INV_SQRT_2PI
-    g_r = g_pooled / n * (cdf + r * pdf)
-    if f.requires_grad or proj.requires_grad:
-        gy = g_r * gain.data
-        dot = np.sum(gy * h, axis=1, keepdims=True)
-        g_h = gy / rms - h * dot / (d * rms**3)
-        if f.requires_grad:
-            nc.accumulate_grad(f, g_h @ proj.data.T)
-        if proj.requires_grad:
-            nc.accumulate_grad(proj, f.data.T @ g_h)
+    g_r = g_pooled / h.shape[0] * (cdf + r * pdf)
+    g_h, g_gain = _rmsnorm_backward(g_r, h, gain.data, rms, normed)
+    if f.requires_grad:
+        nc.accumulate_grad(f, g_h @ proj.data.T)
+    if proj.requires_grad:
+        nc.accumulate_grad(proj, f.data.T @ g_h)
     if gain.requires_grad:
-        nc.accumulate_grad(gain, np.sum(g_r * normed, axis=0))
+        nc.accumulate_grad(gain, g_gain)
 
 
 def transfusion(
     f1: Tensor, f2: Tensor, params: AttentionParams, key_chunk: int | None = None
 ) -> Tensor:
-    """Self-attend over the stacked bags, keep the encoded modality's rows."""
-    return self_attention(
-        nc.concat_rows([f1, f2]), params, key_chunk=key_chunk, rows=f1.shape[0]
-    )
+    """The encoded modality's rows of self-attention over the stacked bags."""
+    return self_attention([f1, f2], params, key_chunk=key_chunk)
 
 
 def bottleneck_transfusion(
@@ -295,12 +313,13 @@ def bottleneck_transfusion(
     bottleneck rows; stage two self-attends over [f1; refreshed] and
     keeps the f1 rows.
     """
-    refreshed = self_attention(
-        nc.concat_rows([bottleneck, f2]), inner, key_chunk=key_chunk, rows=bottleneck.shape[0]
-    )
-    return self_attention(
-        nc.concat_rows([f1, refreshed]), outer, key_chunk=key_chunk, rows=f1.shape[0]
-    )
+    refreshed = self_attention([bottleneck, f2], inner, key_chunk=key_chunk)
+    return self_attention([f1, refreshed], outer, key_chunk=key_chunk)
+
+
+# Saturation value that dropped activations are pulled to: the negative
+# limit of a unit-alpha exponential-linear unit.
+ELU_SATURATION = -1.0
 
 
 def snnfusion(
@@ -310,16 +329,60 @@ def snnfusion(
     training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
-    """Self-normalizing fusion: per-token block on f1 plus pooled f2 block;
-    ``rng`` (None outside training) feeds the alpha dropout."""
+    """Self-normalizing fusion, one graph node: a per-token block on f1 plus
+    the row mean of the same kind of block on f2.
+
+    A block is RMSNorm, an affine map, a unit-alpha ELU and, in training at
+    a nonzero rate, alpha dropout (Klambauer et al. 2017): dropped entries
+    saturate at ``ELU_SATURATION``, then an affine correction restores zero
+    mean and unit variance in expectation. Block 1 draws its mask from
+    ``rng`` before block 2; otherwise nothing is drawn and ``rng`` may be
+    None.
+    """
+    rate = params.dropout_rate
+    dropout = training and rate > 0.0
+    q = 1.0 - rate
+    scale = 1.0 / np.sqrt(q + ELU_SATURATION**2 * rate * q)
+    shift = -scale * rate * ELU_SATURATION
 
     def block(x, w, b, gain):
-        pre = nc.add(nc.matmul(nc.rmsnorm(x, gain), w), b)
-        return nc.alpha_dropout(nc.elu(pre), params.dropout_rate, training, rng)
+        r, rms, normed = _rmsnorm(x.data, gain.data)
+        pre = r @ w.data + b.data
+        out = np.where(pre > 0, pre, np.expm1(pre))
+        keep = None
+        if dropout:
+            keep = rng.random(out.shape) >= rate
+            out = scale * np.where(keep, out, ELU_SATURATION) + shift
+        return out, (x, w, b, gain, r, rms, normed, pre, keep)
 
-    own = block(f1, params.w1, params.b1, params.gain1)
-    reference = nc.mean_rows(block(f2, params.w2, params.b2, params.gain2))
-    return nc.add(own, reference)
+    own, saved1 = block(f1, params.w1, params.b1, params.gain1)
+    reference, saved2 = block(f2, params.w2, params.b2, params.gain2)
+    n2 = reference.shape[0]
+
+    def block_backward(g, saved):
+        x, w, b, gain, r, rms, normed, pre, keep = saved
+        if keep is not None:
+            g = g * scale * keep
+        g = g * np.where(pre > 0, 1.0, np.exp(pre))
+        if b.requires_grad:
+            nc.accumulate_grad(b, g.sum(axis=0))
+        if w.requires_grad:
+            nc.accumulate_grad(w, r.T @ g)
+        g_x, g_gain = _rmsnorm_backward(g @ w.data.T, x.data, gain.data, rms, normed)
+        if x.requires_grad:
+            nc.accumulate_grad(x, g_x)
+        if gain.requires_grad:
+            nc.accumulate_grad(gain, g_gain)
+
+    def backward(g):
+        g_reference = g.sum(axis=0, keepdims=True) / n2
+        block_backward(np.broadcast_to(g_reference, (n2, g.shape[1])), saved2)
+        block_backward(g, saved1)
+
+    return nc.graph_op(own + reference.sum(axis=0, keepdims=True) / n2,
+                       (f1, f2, params.w1, params.b1, params.w2, params.b2,
+                        params.gain1, params.gain2),
+                       backward, "snnfusion")
 
 
 def dropf2fusion(f1: Tensor, f2: Tensor) -> Tensor:
@@ -338,7 +401,13 @@ def mome_forward(
     layer_index: int = 0,
     key_chunk: int | None = None,
 ) -> Tensor:
-    """Route one sample through exactly one expert of this layer."""
+    """Route one sample through exactly one expert of this layer.
+
+    Training needs ``rng`` whichever expert the gate picks, so the check
+    comes before the gate.
+    """
+    if training and rng is None:
+        raise ConfigError("mome_forward in training mode needs an rng stream")
     decision = gate(f1, f2, layer.gate, layer.enable_mask)
     expert = decision.expert
     layer.call_counts[expert] += 1
@@ -349,8 +418,6 @@ def mome_forward(
             f1, f2, layer.bottleneck, layer.btf_inner, layer.btf_outer, key_chunk
         )
     elif expert == ExpertId.SNNFUSION:
-        if training and rng is None:
-            raise ConfigError("snnfusion in training mode needs an rng stream")
         out = snnfusion(f1, f2, layer.snn, training, rng)
     else:
         out = dropf2fusion(f1, f2)

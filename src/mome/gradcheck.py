@@ -9,9 +9,9 @@ and compares every analytic gradient entry against a central difference
 so it reads as a relative error for order-one gradients and as an
 absolute error near zero. The suite is the executable contract that the
 backward of every primitive the model runs (broadcasting included), every
-attention variant, the fused gate, each expert, one routed MoME layer,
-the fused genomic embedding, the loss and a composite model path are all
-exact.
+attention variant, the fused gate, each expert (the SNN expert is one
+fused node), one routed MoME layer, the fused genomic embedding, the loss
+and a composite model path are all exact.
 """
 
 from __future__ import annotations
@@ -95,49 +95,6 @@ def _check_matmul(seed, fault=False):
     return max_fd_error(lambda: _weighted_sum(nc.matmul(a, b), w), [a, b], fault=fault)
 
 
-def _check_rmsnorm(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    x = Tensor(rng.standard_normal((3, 4)) + 0.5, requires_grad=True)
-    gain = Tensor(rng.standard_normal(4), requires_grad=True)
-    w = rng.standard_normal((3, 4))
-    return max_fd_error(lambda: _weighted_sum(nc.rmsnorm(x, gain), w), [x, gain], fault=fault)
-
-
-def _check_elu(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-    w = rng.standard_normal((2, 5))
-    return max_fd_error(lambda: _weighted_sum(nc.elu(x), w), [x], fault=fault)
-
-
-def _check_alpha_dropout(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    w = rng.standard_normal((3, 4))
-
-    def build():
-        out = nc.alpha_dropout(x, 0.4, training=True, rng=nc.rng_stream(seed + 1))
-        return _weighted_sum(out, w)
-
-    return max_fd_error(build, [x], fault=fault)
-
-
-def _check_pooling(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    w = rng.standard_normal((1, 3))
-    return max_fd_error(lambda: _weighted_sum(nc.mean_rows(x), w), [x], fault=fault)
-
-
-def _check_structural(seed, fault=False):
-    rng = nc.rng_stream(seed)
-    a = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    w = rng.standard_normal((2, 4))
-    return max_fd_error(lambda: _weighted_sum(nc.slice_rows(nc.concat_rows([a, b]), 1, 3), w),
-                        [a, b], fault=fault)
-
-
 def _check_broadcast(seed, fault=False):
     """A bias row added to a bag, then scaled by a [1, 1] gate probability."""
     rng = nc.rng_stream(seed)
@@ -162,14 +119,14 @@ def _attention_instance(seed, d=6, heads=1):
 def _check_attention_self(seed, fault=False):
     params, tokens, wiggle, rng = _attention_instance(seed)
     w = rng.standard_normal((4, 6))
-    return max_fd_error(lambda: _weighted_sum(self_attention(tokens, params), w),
+    return max_fd_error(lambda: _weighted_sum(self_attention([tokens], params), w),
                         _rotate(wiggle, seed), fault=fault)
 
 
 def _check_attention_multihead(seed, fault=False):
     params, tokens, wiggle, rng = _attention_instance(seed, heads=2)
     w = rng.standard_normal((4, 6))
-    return max_fd_error(lambda: _weighted_sum(self_attention(tokens, params), w),
+    return max_fd_error(lambda: _weighted_sum(self_attention([tokens], params), w),
                         _rotate(wiggle, seed), fault=fault)
 
 
@@ -177,20 +134,21 @@ def _check_attention_chunked(seed, fault=False):
     params, tokens, wiggle, rng = _attention_instance(seed)
     w = rng.standard_normal((4, 6))
     return max_fd_error(
-        lambda: _weighted_sum(self_attention(tokens, params, key_chunk=2), w),
+        lambda: _weighted_sum(self_attention([tokens], params, key_chunk=2), w),
         _rotate(wiggle, seed), fault=fault,
     )
 
 
 def _check_attention_pruned(seed, fault=False):
-    """A bag one tile and two rows long, keeping a one-row prefix: the
-    kernel runs that one query row against every key."""
+    """One query row over a bag one tile and two rows long: the kernel runs
+    that one query row against every key."""
     rng = nc.rng_stream(seed)
     params = AttentionParams.create(6, rng)
-    tokens = Tensor(rng.standard_normal((QUERY_TILE + 2, 6)))
+    tokens = rng.standard_normal((QUERY_TILE + 2, 6))
+    query, keys = Tensor(tokens[:1]), Tensor(tokens[1:])
     w = rng.standard_normal((1, 6))
     wiggle = [params.query, params.key, params.value]
-    return max_fd_error(lambda: _weighted_sum(self_attention(tokens, params, rows=1), w),
+    return max_fd_error(lambda: _weighted_sum(self_attention([query, keys], params), w),
                         _rotate(wiggle, seed), fault=fault)
 
 
@@ -353,11 +311,6 @@ def _check_model_composite(seed, fault=False):
 
 COMPONENTS = {
     "matmul": _check_matmul,
-    "rmsnorm": _check_rmsnorm,
-    "elu": _check_elu,
-    "alpha_dropout": _check_alpha_dropout,
-    "pooling": _check_pooling,
-    "structural": _check_structural,
     "broadcast": _check_broadcast,
     "attention_self": _check_attention_self,
     "attention_multihead": _check_attention_multihead,

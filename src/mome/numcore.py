@@ -9,9 +9,10 @@ into every ``requires_grad`` leaf.
 
 The module holds only the primitives the model runs, and each of them is
 checked against central finite differences by :mod:`mome.gradcheck`.
-Fused ops with a closed-form backward (the gate, the genomic embedding,
-the attention kernel and the survival loss) live with their callers and
-enter the graph as one node each through :func:`graph_op`.
+Fused ops with a closed-form backward (the gate, the SNN expert, the
+genomic embedding, the attention kernel and the survival loss) live with
+their callers and enter the graph as one node each through
+:func:`graph_op`.
 Model weights live in dataclasses derived from :class:`ParameterSet`,
 whose fields are their parameter list; :class:`Adam` is the one
 optimizer and updates those tensors in place from their ``grad``.
@@ -40,10 +41,6 @@ from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 _node_ids = itertools.count()
 _grad_enabled = True
-
-# Saturation value that dropped activations are pulled to: the negative
-# limit of a unit-alpha exponential-linear unit.
-ELU_SATURATION = -1.0
 
 
 def rng_stream(seed: int) -> np.random.Generator:
@@ -233,28 +230,6 @@ def reduce_sum(a) -> Tensor:
     return graph_op(np.asarray(out), (a,), backward, "sum")
 
 
-def mean_rows(a) -> Tensor:
-    """Mean over the token (first) axis of a bag, as one ``[1, d]`` row.
-
-    The rows are summed in storage order, so the result depends on that
-    order in its last bits: this op guarantees no order of its own.
-    Callers that pool an unordered set fix the order first; the model
-    does it once, by sorting the patch rows at its entry (see
-    ``MoMEModel.forward``).
-    """
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"mean_rows needs a rank-2 bag, got {a.shape}")
-    n = a.data.shape[0]
-    pooled = a.data.sum(axis=0, keepdims=True) / n
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, np.broadcast_to(g / n, a.data.shape))
-
-    return graph_op(pooled, (a,), backward, "mean_rows")
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
@@ -270,91 +245,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             start = stop
 
     return graph_op(out, tuple(parts), backward, "concat_rows")
-
-
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"row slice [{start}:{stop}] invalid for {n} rows")
-    out = a.data[start:stop].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
-
-    return graph_op(out, (a,), backward, "slice_rows")
-
-
-# ---------------------------------------------------------------------------
-# normalization, activation, dropout
-# ---------------------------------------------------------------------------
-
-
-RMSNORM_EPS = 1e-8
-
-
-def rmsnorm(x, gain, eps: float = RMSNORM_EPS) -> Tensor:
-    """Divide each row by its root-mean-square, then scale per feature."""
-    x, gain = _as_tensor(x), _as_tensor(gain)
-    if x.ndim != 2:
-        raise ShapeError(f"rmsnorm needs a rank-2 tensor, got {x.shape}")
-    if eps < 0:
-        raise ConfigError("rmsnorm eps must be nonnegative")
-    d = x.data.shape[1]
-    if gain.data.shape != (d,):
-        raise ShapeError(f"rmsnorm gain shape {gain.shape} does not match width {d}")
-    rms = np.sqrt(np.mean(x.data * x.data, axis=1, keepdims=True) + eps)
-    normed = x.data / rms
-    out = normed * gain.data
-
-    def backward(g):
-        gy = g * gain.data
-        if x.requires_grad:
-            dot = np.sum(gy * x.data, axis=1, keepdims=True)
-            accumulate_grad(x, gy / rms - x.data * dot / (d * rms**3))
-        if gain.requires_grad:
-            accumulate_grad(gain, np.sum(g * normed, axis=0))
-
-    return graph_op(out, (x, gain), backward, "rmsnorm")
-
-
-def elu(x) -> Tensor:
-    """Exponential linear unit with unit alpha."""
-    x = _as_tensor(x)
-    out = np.where(x.data > 0, x.data, np.expm1(x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            accumulate_grad(x, g * np.where(x.data > 0, 1.0, np.exp(x.data)))
-
-    return graph_op(out, (x,), backward, "elu")
-
-
-def alpha_dropout(x, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Self-normalizing dropout: dropped entries saturate, then an affine
-    correction restores zero mean and unit variance in expectation.
-
-    Identity (and ``rng`` may be None) when ``training`` is false or ``rate`` is 0.
-    """
-    x = _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    keep = rng.random(x.data.shape) >= rate
-    q = 1.0 - rate
-    scale = 1.0 / np.sqrt(q + ELU_SATURATION**2 * rate * q)
-    shift = -scale * rate * ELU_SATURATION
-    out = scale * np.where(keep, x.data, ELU_SATURATION) + shift
-
-    def backward(g):
-        if x.requires_grad:
-            accumulate_grad(x, g * scale * keep)
-
-    return graph_op(out, (x,), backward, "alpha_dropout")
 
 
 # ---------------------------------------------------------------------------

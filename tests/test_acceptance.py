@@ -126,9 +126,9 @@ class TestCriterion05ChunkedAttention:
                 rng = nc.rng_stream(seed)
                 params = AttentionParams.create(8, nc.rng_stream(seed + 10))
                 tokens = nc.Tensor(rng.standard_normal((n, 8)))
-                dense = self_attention(tokens, params).data
+                dense = self_attention([tokens], params).data
                 for chunk in (1, 2, 4096):
-                    streamed = self_attention(tokens, params, key_chunk=chunk).data
+                    streamed = self_attention([tokens], params, key_chunk=chunk).data
                     worst = max(worst, float(np.max(np.abs(dense - streamed))))
         ok = worst <= 1e-10
         report(5, ok, f"streaming attention: chunks {{1, 2, 4096}} vs dense on bags "

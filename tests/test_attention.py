@@ -14,7 +14,7 @@ from mome.attention import (
     self_attention,
     verify_ca_embedding,
 )
-from mome.errors import ConfigError, ShapeError
+from mome.errors import ConfigError, DataError, ShapeError
 
 
 def make_params(d, seed, head_count=1):
@@ -35,6 +35,18 @@ def kernel_query_rows():
         yield rows
     finally:
         attention.scaled_dot_attention = kernel
+
+
+def rows_of(t, start, stop):
+    """Rows ``start:stop`` of ``t`` as a graph node: the slice the reference
+    sides of the query-bag tests take."""
+
+    def backward(g):
+        grad = np.zeros_like(t.data)
+        grad[start:stop] = g
+        nc.accumulate_grad(t, grad)
+
+    return nc.graph_op(t.data[start:stop].copy(), (t,), backward, "rows_of")
 
 
 def dense_reference(tokens, params):
@@ -61,7 +73,7 @@ class TestSelfAttention:
     def test_single_token_passthrough(self):
         params = make_params(6, 1)
         token = nc.Tensor(nc.rng_stream(2).standard_normal((1, 6)))
-        out = self_attention(token, params)
+        out = self_attention([token], params)
         assert np.allclose(out.data, token.data @ params.value.data, atol=1e-14)
 
     def test_zero_query_gives_uniform_attention(self):
@@ -69,7 +81,7 @@ class TestSelfAttention:
         params = make_params(5, 4)
         params.query.data[:] = 0.0
         tokens = nc.Tensor(rng.standard_normal((7, 5)))
-        out = self_attention(tokens, params)
+        out = self_attention([tokens], params)
         expected = np.tile((tokens.data @ params.value.data).mean(axis=0), (7, 1))
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -77,14 +89,14 @@ class TestSelfAttention:
         rng = nc.rng_stream(5)
         params = make_params(8, 6)
         tokens = nc.Tensor(rng.standard_normal((9, 8)))
-        out = self_attention(tokens, params)
+        out = self_attention([tokens], params)
         assert np.allclose(out.data, dense_reference(tokens.data, params), atol=1e-12)
 
     def test_multihead_matches_dense_oracle(self):
         rng = nc.rng_stream(7)
         params = make_params(8, 8, head_count=2)
         tokens = nc.Tensor(rng.standard_normal((5, 8)))
-        out = self_attention(tokens, params)
+        out = self_attention([tokens], params)
         assert np.allclose(out.data, dense_reference(tokens.data, params), atol=1e-12)
 
     @pytest.mark.parametrize("key_chunk", [3], ids=["chunked"])
@@ -92,7 +104,7 @@ class TestSelfAttention:
         rng = nc.rng_stream(7)
         params = make_params(8, 8, head_count=2)
         tokens = nc.Tensor(rng.standard_normal((5, 8)))
-        out = self_attention(tokens, params, key_chunk=key_chunk)
+        out = self_attention([tokens], params, key_chunk=key_chunk)
         expected = dense_reference(tokens.data, params)
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -100,7 +112,7 @@ class TestSelfAttention:
         rng = nc.rng_stream(8)
         params = make_params(8, 9, head_count=2)
         tokens = nc.Tensor(rng.standard_normal((5, 8)), requires_grad=True)
-        out = self_attention(tokens, params)
+        out = self_attention([tokens], params)
         ops, stack = [], [out]
         while stack:
             node = stack.pop()
@@ -119,7 +131,7 @@ class TestSelfAttention:
         params = make_params(6, 12)
         tokens = rng.standard_normal((8, 6))
         perm = nc.rng_stream(13).permutation(8)
-        out = self_attention(nc.Tensor(tokens), params).data
+        out = self_attention([nc.Tensor(tokens)], params).data
         xq = nc.matmul(nc.Tensor(tokens), params.query)
         kv = nc.Tensor(tokens[perm])
         permuted = scaled_dot_attention(
@@ -131,7 +143,7 @@ class TestSelfAttention:
         params = make_params(4, 18)
         tokens = nc.Tensor(nc.rng_stream(19).standard_normal((3, 4)))
         with pytest.raises(ConfigError):
-            self_attention(tokens, params, key_chunk=0)
+            self_attention([tokens], params, key_chunk=0)
 
 
 class TestChunkedAttention:
@@ -139,8 +151,8 @@ class TestChunkedAttention:
         rng = nc.rng_stream(21)
         params = make_params(16, 22)
         tokens = nc.Tensor(rng.standard_normal((37, 16)))
-        full = self_attention(tokens, params).data
-        chunked = self_attention(tokens, params, key_chunk=4).data
+        full = self_attention([tokens], params).data
+        chunked = self_attention([tokens], params, key_chunk=4).data
         assert np.max(np.abs(full - chunked)) <= 1e-10
 
     @pytest.mark.parametrize("chunk", [1, 2, 36, 37])
@@ -148,15 +160,16 @@ class TestChunkedAttention:
         rng = nc.rng_stream(23)
         params = make_params(8, 24)
         tokens = nc.Tensor(rng.standard_normal((37, 8)))
-        full = self_attention(tokens, params).data
-        assert np.max(np.abs(full - self_attention(tokens, params, key_chunk=chunk).data)) <= 1e-10
+        full = self_attention([tokens], params).data
+        chunked = self_attention([tokens], params, key_chunk=chunk).data
+        assert np.max(np.abs(full - chunked)) <= 1e-10
 
     def test_chunk_larger_than_bag_is_single_block(self):
         rng = nc.rng_stream(25)
         params = make_params(8, 26)
         tokens = nc.Tensor(rng.standard_normal((5, 8)))
-        full = self_attention(tokens, params).data
-        assert np.array_equal(full, self_attention(tokens, params, key_chunk=4096).data)
+        full = self_attention([tokens], params).data
+        assert np.array_equal(full, self_attention([tokens], params, key_chunk=4096).data)
 
     def test_chunked_gradients_match_unchunked(self):
         rng = nc.rng_stream(27)
@@ -166,16 +179,17 @@ class TestChunkedAttention:
         for chunk in (None, 3):
             params = make_params(6, 28)
             tokens = nc.Tensor(tokens_data, requires_grad=True)
-            nc.reduce_sum(self_attention(tokens, params, key_chunk=chunk)).backward()
+            nc.reduce_sum(self_attention([tokens], params, key_chunk=chunk)).backward()
             grads.append((tokens.grad, params.query.grad, params.key.grad, params.value.grad))
         for full, chunked in zip(*grads):
             assert np.max(np.abs(full - chunked)) <= 1e-10
 
 
 class TestPrunedQueryRows:
-    """``rows=k`` hands the kernel exactly k query rows; the output and every
-    gradient equal "full, then slice" to roundoff (a k-row product may round
-    differently from the same rows inside a larger one)."""
+    """A query bag of k rows hands the kernel exactly k query rows; the
+    output and every gradient equal "attend every row, then slice" to
+    roundoff (a k-row product may round differently from the same rows
+    inside a larger one)."""
 
     @staticmethod
     def assert_pruned_equals_sliced(n, heads, key_chunk, kept):
@@ -194,11 +208,11 @@ class TestPrunedQueryRows:
         for k in kept:
             weights = rng.standard_normal((k, 8))
             with kernel_query_rows() as queries:
-                pruned = outputs(
-                    lambda: self_attention(tokens, params, key_chunk, rows=k), weights)
+                pruned = outputs(lambda: self_attention(
+                    [rows_of(tokens, 0, k), rows_of(tokens, k, n)], params, key_chunk), weights)
             assert queries == [k]
             sliced = outputs(
-                lambda: nc.slice_rows(self_attention(tokens, params, key_chunk), 0, k), weights)
+                lambda: rows_of(self_attention([tokens], params, key_chunk), 0, k), weights)
             for (name, a), (_, b) in zip(pruned, sliced):
                 assert np.max(np.abs(a - b)) <= 1e-12, f"rows={k}: {name}"
 
@@ -209,12 +223,19 @@ class TestPrunedQueryRows:
         kept = sorted({k for k in (1, 6, QUERY_TILE, QUERY_TILE + 1, n) if k <= n})
         self.assert_pruned_equals_sliced(n, heads, key_chunk, kept)
 
-    @pytest.mark.parametrize("rows", [0, 4])
-    def test_rows_outside_the_bag_rejected(self, rows):
+    def test_empty_query_bag_rejected(self):
         params = make_params(4, 50)
         tokens = nc.Tensor(nc.rng_stream(51).standard_normal((3, 4)))
-        with pytest.raises(ShapeError, match="rows"):
-            self_attention(tokens, params, rows=rows)
+        with pytest.raises(DataError, match="query row"):
+            self_attention([nc.Tensor(np.zeros((0, 4))), tokens], params)
+        with pytest.raises(DataError, match="query row"):
+            self_attention([], params)
+
+    def test_part_of_another_width_rejected(self):
+        params = make_params(4, 50)
+        tokens = nc.Tensor(nc.rng_stream(51).standard_normal((3, 4)))
+        with pytest.raises(ShapeError, match="width"):
+            self_attention([tokens, nc.Tensor(np.ones((2, 5)))], params)
 
 
 class TestCoAttention:

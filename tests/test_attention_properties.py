@@ -2,7 +2,7 @@
 
 Bags run from 1 to 700 tokens, so they cross the 256- and 512-row query
 tile boundaries; ``key_chunk`` is unset or any block size up to the bag;
-the kept prefix ``rows`` is any length up to the bag. Kept apart from
+the query bag is a prefix of any length up to the bag. Kept apart from
 test_attention.py because they need hypothesis (the ``dev`` extra).
 """
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mome.numcore as nc
 from mome.attention import QUERY_TILE, AttentionParams, self_attention
-from test_attention import dense_reference, kernel_query_rows
+from test_attention import dense_reference, kernel_query_rows, rows_of
 
 WIDTH = 8
 TILE_EDGES = (QUERY_TILE - 1, QUERY_TILE, QUERY_TILE + 1,
@@ -32,19 +32,20 @@ def attention_cases(draw):
 
 
 def run(case, key_chunk, prune=True):
-    """Forward and backward of a weighted sum of the kept rows, computed
-    with ``rows=`` (``prune``) or as the full output sliced: the kept
-    output, the gradient of the tokens and of every projection by name,
-    and the inputs."""
+    """Forward and backward of a weighted sum of the first ``rows`` output
+    rows, computed with those rows as the query bag (``prune``) or as the
+    full output sliced: the kept output, the gradient of the tokens and of
+    every projection by name, and the inputs."""
     n, _, heads, rows, seed = case
     rng = nc.rng_stream(seed)
     params = AttentionParams.create(WIDTH, rng, head_count=heads)
     tokens = nc.Tensor(rng.standard_normal((n, WIDTH)), requires_grad=True)
     weights = nc.Tensor(rng.standard_normal((rows, WIDTH)))
     if prune:
-        out = self_attention(tokens, params, key_chunk, rows=rows)
+        out = self_attention([rows_of(tokens, 0, rows), rows_of(tokens, rows, n)], params,
+                             key_chunk)
     else:
-        out = nc.slice_rows(self_attention(tokens, params, key_chunk), 0, rows)
+        out = rows_of(self_attention([tokens], params, key_chunk), 0, rows)
     nc.reduce_sum(nc.mul(out, weights)).backward()
     named = [("tokens", tokens)] + params.parameters("attention")
     return out.data, {name: t.grad for name, t in named}, tokens.data, params

@@ -18,7 +18,7 @@ from mome.bpe import (
 from mome.errors import ConfigError, DataError, FormatError
 from mome.experts import ExpertId
 from mome.survival import SurvivalTarget, hazards_from_logits, nll_loss
-from test_attention import kernel_query_rows
+from test_attention import kernel_query_rows, rows_of
 
 
 def small_config(**overrides):
@@ -279,17 +279,15 @@ class TestForward:
         g = model.embed_genomics(groups)
         from mome.attention import self_attention
 
-        tokens = nc.concat_rows([model.cls_token, p, g])
-        cls_row = self_attention(tokens, model.readout, rows=1)
+        cls_row = self_attention([model.cls_token, p, g], model.readout)
         expected = nc.add(nc.matmul(cls_row, model.head_w), model.head_b).data
         assert np.array_equal(out, expected)
 
     def test_graph_node_budget_of_a_training_step(self, monkeypatch):
         """A skip-only default model: patch embedding (2), genomic embedding
         (1), four gates of two nodes plus the probability scaling (12), the
-        readout attention (6), the hazard head (2) and the loss (1). Each
-        gate was 14 nodes and the genomic embedding 13 before they became
-        fused ops."""
+        readout attention (5: the stacked tokens, three projections and the
+        kernel), the hazard head (2) and the loss (1)."""
         config = ModelConfig(enable_mask=(False, False, False, True))
         model = MoMEModel(config)
         rng = nc.rng_stream(19)
@@ -304,7 +302,7 @@ class TestForward:
         monkeypatch.setattr(nc, "graph_op", counting_graph_op)
         logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(20))
         nll_loss(hazards_from_logits(logits), SurvivalTarget(bin=1, censored=False, raw_time=1.0))
-        assert len(ops) == 24, ops
+        assert len(ops) == 23, ops
         assert ops.count("gate_logits") == ops.count("gate_probability") == 4
 
     def test_kernel_computes_only_the_query_rows_callers_keep(self):
@@ -380,9 +378,10 @@ LAYER0_NAMES = [
 
 
 class TestPrunedRowsAtModelLevel:
-    """The experts and the readout keep a prefix of each self-attention
-    (``rows=``). A model whose self-attention computes every row and then
-    slices agrees to roundoff in the logits and every parameter gradient."""
+    """The experts and the readout hand self-attention their query bag. A
+    model whose self-attention computes every row of the stacked parts and
+    then slices agrees to roundoff in the logits and every parameter
+    gradient."""
 
     @staticmethod
     def run(model, patches, groups):
@@ -408,9 +407,9 @@ class TestPrunedRowsAtModelLevel:
 
         full = bpe.self_attention
 
-        def full_then_slice(tokens, params, key_chunk=None, rows=None):
-            out = full(tokens, params, key_chunk)
-            return out if rows is None else nc.slice_rows(out, 0, rows)
+        def full_then_slice(parts, params, key_chunk=None):
+            out = full([nc.concat_rows(parts)], params, key_chunk)
+            return rows_of(out, 0, parts[0].shape[0])
 
         monkeypatch.setattr(bpe, "self_attention", full_then_slice)
         monkeypatch.setattr(experts, "self_attention", full_then_slice)

@@ -157,6 +157,18 @@ class TestTrainCommand:
         assert code == 3
         assert "line 2: raw_time" in capsys.readouterr().err
 
+    def test_manifest_byte_that_is_not_utf8_is_format_error(self, cohort_dir, tmp_path,
+                                                            capsys):
+        lines = (cohort_dir / "manifest.csv").read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"\n".join(lines))
+        code = run_cli("train", "--manifest", str(manifest), "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "manifest line 3" in err[0] and "0xff" in err[0]
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         code = run_cli("train", "--manifest", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o"))

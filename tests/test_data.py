@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,32 @@ class TestNonFiniteValues:
             read_genomic_file(path)
         assert err.value.offset == offset
 
+    # Signalling NaN: exponent all ones, quiet bit clear, payload 1.
+    SIGNALLING_NAN = bytes.fromhex("0100807f")
+
+    def test_feature_reader_signalling_nan_warns_nothing(self, tmp_path):
+        path = tmp_path / "bag.mmef"
+        write_feature_file(path, np.ones((4, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[16 + 4 * 5 : 20 + 4 * 5] = self.SIGNALLING_NAN
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings(), pytest.raises(FormatError) as err:
+            warnings.simplefilter("error")
+            read_feature_file(path)
+        assert err.value.offset == 16 + 4 * 5
+
+    def test_genomic_reader_signalling_nan_warns_nothing(self, tmp_path):
+        path = tmp_path / "g.mmeg"
+        write_genomic_file(path, GenomicGroups(tuple(np.ones(3) for _ in range(6))))
+        blob = bytearray(path.read_bytes())
+        offset = 8 + 3 * 17 + 5 + 8  # group 3, value 2
+        blob[offset : offset + 4] = self.SIGNALLING_NAN
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings(), pytest.raises(FormatError, match="group 3") as err:
+            warnings.simplefilter("error")
+            read_genomic_file(path)
+        assert err.value.offset == offset
+
     def test_train_over_a_non_finite_file_exits_3(self, tmp_path, capsys):
         import mome.cli as cli
 
@@ -275,6 +302,36 @@ class TestManifest:
         with pytest.raises(DataError, match="'s1': raw_time"):
             write_manifest(path, rows)
         assert not path.exists()
+
+    def test_bytes_that_are_not_utf8_rejected_at_their_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, self.make_rows(tmp_path))
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b"s2", b"s\xc3\x28", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="manifest line 4: byte 0xc3 is not UTF-8"):
+            read_manifest(path)
+
+    def test_csv_error_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, self.make_rows(tmp_path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("s1", '"' + "x" * 200_000 + '"', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="manifest line 3: field larger than field limit"):
+            read_manifest(path)
+
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        """A quoted sample id that spans two lines moves the next record to
+        line 4."""
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, self.make_rows(tmp_path, n=2))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace("s0", '"s\n0"', 1)
+        lines[2] = lines[2].replace(",20.0,", ",nan,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="manifest line 4: raw_time nan"):
+            read_manifest(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

@@ -6,6 +6,8 @@ import mome.numcore as nc
 from mome.attention import AttentionParams, self_attention
 from mome.errors import ConfigError, DataError
 from mome.experts import (
+    ELU_SATURATION,
+    RMSNORM_EPS,
     ExpertId,
     GateParams,
     MoMELayer,
@@ -18,7 +20,7 @@ from mome.experts import (
     snnfusion,
     transfusion,
 )
-from test_attention import kernel_query_rows
+from test_attention import kernel_query_rows, rows_of
 
 
 def make_layer(d=8, seed=0, n_b=2, enable_mask=(True, True, True, True), dropout_rate=0.25):
@@ -158,7 +160,7 @@ class TestTransfusion:
             fused = outputs(lambda: transfusion(f1, f2, params))
         assert queries == [5]
         oracle = outputs(
-            lambda: nc.slice_rows(self_attention(nc.concat_rows([f1, f2]), params), 0, 5))
+            lambda: rows_of(self_attention([nc.concat_rows([f1, f2])], params), 0, 5))
         for (name, a), (_, b) in zip(fused, oracle):
             assert np.max(np.abs(a - b)) <= 1e-12, name
 
@@ -191,6 +193,68 @@ class TestBottleneckTransfusion:
         assert f2.grad is not None and np.any(f2.grad != 0.0)
 
 
+def dropout_free_block(x, w, b, gain):
+    """One SNN block without dropout, in plain numpy: RMSNorm, affine, ELU."""
+    rms = np.sqrt(np.mean(x.data * x.data, axis=1, keepdims=True) + 1e-8)
+    pre = (x.data / rms * gain.data) @ w.data + b.data
+    return np.where(pre > 0, pre, np.expm1(pre))
+
+
+def composed_snnfusion(f1, f2, params, training, rng):
+    """The SNN expert as one graph node per step (RMSNorm, affine, ELU,
+    alpha dropout, row mean, broadcast add), each with its own backward:
+    the reference the fused op must match bit for bit."""
+    rate = params.dropout_rate
+
+    def rmsnorm(x, gain):
+        rms = np.sqrt(np.mean(x.data * x.data, axis=1, keepdims=True) + RMSNORM_EPS)
+        normed = x.data / rms
+
+        def backward(g):
+            gy = g * gain.data
+            if x.requires_grad:
+                dot = np.sum(gy * x.data, axis=1, keepdims=True)
+                nc.accumulate_grad(x, gy / rms - x.data * dot / (x.shape[1] * rms**3))
+            if gain.requires_grad:
+                nc.accumulate_grad(gain, np.sum(g * normed, axis=0))
+
+        return nc.graph_op(normed * gain.data, (x, gain), backward, "rmsnorm")
+
+    def elu(x):
+        def backward(g):
+            nc.accumulate_grad(x, g * np.where(x.data > 0, 1.0, np.exp(x.data)))
+
+        return nc.graph_op(np.where(x.data > 0, x.data, np.expm1(x.data)), (x,), backward, "elu")
+
+    def alpha_dropout(x):
+        if not training or rate == 0.0:
+            return x
+        keep = rng.random(x.shape) >= rate
+        q = 1.0 - rate
+        scale = 1.0 / np.sqrt(q + ELU_SATURATION**2 * rate * q)
+        shift = -scale * rate * ELU_SATURATION
+
+        def backward(g):
+            nc.accumulate_grad(x, g * scale * keep)
+
+        out = scale * np.where(keep, x.data, ELU_SATURATION) + shift
+        return nc.graph_op(out, (x,), backward, "alpha_dropout")
+
+    def mean_rows(x):
+        n = x.shape[0]
+
+        def backward(g):
+            nc.accumulate_grad(x, np.broadcast_to(g / n, x.shape))
+
+        return nc.graph_op(x.data.sum(axis=0, keepdims=True) / n, (x,), backward, "mean_rows")
+
+    def block(x, w, b, gain):
+        return alpha_dropout(elu(nc.add(nc.matmul(rmsnorm(x, gain), w), b)))
+
+    own = block(f1, params.w1, params.b1, params.gain1)
+    return nc.add(own, mean_rows(block(f2, params.w2, params.b2, params.gain2)))
+
+
 class TestSnnFusion:
     def test_zero_reference_contributes_nothing(self):
         params = SnnParams.create(6, nc.rng_stream(25))
@@ -198,32 +262,57 @@ class TestSnnFusion:
         f1 = nc.Tensor(rng.standard_normal((4, 6)))
         f2 = nc.Tensor(np.zeros((3, 6)))
         out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
-        own_only = nc.elu(nc.add(nc.matmul(nc.rmsnorm(f1, params.gain1), params.w1), params.b1))
-        assert np.array_equal(out.data, own_only.data)
+        own_only = dropout_free_block(f1, params.w1, params.b1, params.gain1)
+        assert np.array_equal(out.data, own_only)
 
     def test_reference_is_a_single_broadcast_row(self):
         params = SnnParams.create(8, nc.rng_stream(27))
         f1, f2 = random_bags(d=8, n1=4, n2=6, seed=28)
         out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
         assert out.shape == (4, 8)
-        own = nc.elu(nc.add(nc.matmul(nc.rmsnorm(f1, params.gain1), params.w1), params.b1))
-        diff = out.data - own.data
+        own = dropout_free_block(f1, params.w1, params.b1, params.gain1)
+        diff = out.data - own
         assert np.max(np.abs(diff - diff[0])) <= 1e-14
 
     def test_eval_matches_dropout_free_reimplementation(self):
         params = SnnParams.create(8, nc.rng_stream(29))
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=30)
         out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
-
-        def snn(x, w, b, gain):
-            rms = np.sqrt(np.mean(x**2, axis=1, keepdims=True) + 1e-8)
-            pre = (x / rms * gain.data) @ w.data + b.data
-            return np.where(pre > 0, pre, np.expm1(pre))
-
-        expected = snn(f1.data, params.w1, params.b1, params.gain1) + snn(
-            f2.data, params.w2, params.b2, params.gain2
-        ).mean(axis=0)
+        expected = dropout_free_block(f1, params.w1, params.b1, params.gain1) + \
+            dropout_free_block(f2, params.w2, params.b2, params.gain2).mean(axis=0)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n1, n2, d, rate, training", [
+        (1, 4, 5, 0.25, True), (4, 1, 5, 0.5, True), (1, 1, 8, 0.25, True),
+        (6, 3, 1, 0.5, True), (3, 5, 4, 0.0, True), (1, 3, 6, 0.25, False),
+        (5, 1, 3, 0.5, False), (7, 7, 8, 0.25, False),
+    ])
+    def test_matches_composed_graph_bit_for_bit(self, n1, n2, d, rate, training):
+        """One ``snnfusion`` node over the bags and the six parameters; its
+        output and all eight gradients equal those of the composed graph."""
+        rng = nc.rng_stream(100 * n1 + 10 * n2 + d)
+        params = SnnParams.create(d, rng, dropout_rate=rate)
+        for t in (params.b1, params.b2, params.gain1, params.gain2):
+            t.data[:] = rng.standard_normal(t.shape)
+        f1 = nc.Tensor(rng.standard_normal((n1, d)), requires_grad=True)
+        f2 = nc.Tensor(rng.standard_normal((n2, d)), requires_grad=True)
+        weights = nc.Tensor(rng.standard_normal((n1, d)))
+        named = [("f1", f1), ("f2", f2)] + params.parameters("snn")
+
+        def run(expert):
+            for _, t in named:
+                t.grad = None
+            out = expert(f1, f2, params, training, nc.rng_stream(7) if training else None)
+            nc.reduce_sum(nc.mul(out, weights)).backward()
+            return out, [out.data] + [t.grad for _, t in named]
+
+        fused, got = run(snnfusion)
+        _, expected = run(composed_snnfusion)
+        assert fused._op == "snnfusion"
+        assert list(fused._parents) == [f1, f2, params.w1, params.b1, params.w2, params.b2,
+                                        params.gain1, params.gain2]
+        for (name, _), a, b in zip([("output", None)] + named, got, expected):
+            assert np.array_equal(a, b), name
 
 
 class TestDropF2Fusion:
@@ -280,6 +369,15 @@ class TestMoMEForward:
         monkeypatch.setattr(nc, "rng_stream", no_stream)
         out = mome_forward(f1, f2, layer, training=False)
         assert layer.call_counts[ExpertId.SNNFUSION] == 1 and out.shape == f1.shape
+
+    @pytest.mark.parametrize("mask", [(True, False, False, False), (False, False, True, False)],
+                             ids=["tf", "snn"])
+    def test_training_without_a_stream_rejected_whatever_the_route(self, mask):
+        layer = make_layer(seed=50, enable_mask=mask)
+        f1, f2 = random_bags(seed=51)
+        with pytest.raises(ConfigError, match="rng"):
+            mome_forward(f1, f2, layer, training=True, rng=None)
+        assert layer.call_counts == [0, 0, 0, 0]
 
     def test_gate_weight_gradient_matches_finite_differences(self):
         layer = make_layer(d=6, seed=42, dropout_rate=0.0)

@@ -5,6 +5,14 @@ import pytest
 
 import mome.numcore as nc
 from mome.errors import ConfigError, NumericError, ShapeError, UsageError
+from mome.experts import (
+    ELU_SATURATION,
+    RMSNORM_EPS,
+    SnnParams,
+    _rmsnorm,
+    _rmsnorm_backward,
+    snnfusion,
+)
 
 
 def numeric_grad(loss_fn, arr, h=1e-5):
@@ -56,102 +64,132 @@ class TestMatmul:
 
 
 class TestRmsnorm:
+    """The one RMSNorm, shared by the gate and the SNN expert."""
+
     def test_zero_row(self):
-        x = nc.Tensor(np.zeros((1, 4)))
-        out = nc.rmsnorm(x, nc.Tensor(np.ones(4)), eps=0.5)
-        assert np.array_equal(out.data, np.zeros((1, 4)))
+        out, _, _ = _rmsnorm(np.zeros((1, 4)), np.ones(4))
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_scalar_oracle(self):
-        out = nc.rmsnorm(nc.Tensor([[3.0, 4.0]]), nc.Tensor(np.ones(2)), eps=0.0)
+        # At this scale the eps of 1e-8 is below the mean square's last
+        # bit, so the result is the eps-free 3-4-5 oracle.
+        out, _, _ = _rmsnorm(np.array([[3e6, 4e6]]), np.ones(2))
         expected = np.array([[3.0, 4.0]]) / np.sqrt(12.5)
-        assert np.allclose(out.data, expected, atol=1e-12)
-        assert np.allclose(out.data, [[0.848528, 1.131371]], atol=1e-6)
+        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(out, [[0.848528, 1.131371]], atol=1e-6)
+        small, _, _ = _rmsnorm(np.array([[3.0, 4.0]]), np.ones(2))
+        assert np.allclose(small, np.array([[3.0, 4.0]]) / np.sqrt(12.5 + RMSNORM_EPS),
+                           atol=1e-15)
 
     def test_scale_invariance_at_zero_eps(self):
+        # Mean squares near 1e12 absorb the eps, and doubling is exact.
         rng = nc.rng_stream(5)
-        x = rng.standard_normal((4, 6))
-        g = nc.Tensor(np.ones(6))
-        a = nc.rmsnorm(nc.Tensor(x), g, eps=0.0)
-        b = nc.rmsnorm(nc.Tensor(2.0 * x), g, eps=0.0)
-        assert np.allclose(a.data, b.data, atol=1e-14)
+        x = 1e6 * rng.standard_normal((4, 6))
+        a, _, _ = _rmsnorm(x, np.ones(6))
+        b, _, _ = _rmsnorm(2.0 * x, np.ones(6))
+        assert np.array_equal(a, b)
 
     def test_unit_rms_property(self):
         rng = nc.rng_stream(6)
-        out = nc.rmsnorm(nc.Tensor(rng.standard_normal((5, 8))), nc.Tensor(np.ones(8)), eps=0.0)
-        rms = np.sqrt(np.mean(out.data**2, axis=1))
+        out, _, _ = _rmsnorm(1e6 * rng.standard_normal((5, 8)), np.ones(8))
+        rms = np.sqrt(np.mean(out**2, axis=1))
         assert np.max(np.abs(rms - 1.0)) <= 1e-10
 
     def test_gradient(self):
         rng = nc.rng_stream(7)
-        x = nc.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        gain = nc.Tensor(rng.standard_normal(4), requires_grad=True)
+        x = rng.standard_normal((3, 4))
+        gain = rng.standard_normal(4)
         w = rng.standard_normal((3, 4))
-        nc.reduce_sum(nc.mul(nc.rmsnorm(x, gain, eps=1e-8), nc.Tensor(w))).backward()
+        _, rms, normed = _rmsnorm(x, gain)
+        g_x, g_gain = _rmsnorm_backward(w, x, gain, rms, normed)
 
         def f():
-            rms = np.sqrt(np.mean(x.data**2, axis=1, keepdims=True) + 1e-8)
-            return float(np.sum(x.data / rms * gain.data * w))
+            return float(np.sum(_rmsnorm(x, gain)[0] * w))
 
-        assert rel_err(x.grad, numeric_grad(f, x.data)) <= 1e-6
-        assert rel_err(gain.grad, numeric_grad(f, gain.data)) <= 1e-6
+        assert rel_err(g_x, numeric_grad(f, x)) <= 1e-6
+        assert rel_err(g_gain, numeric_grad(f, gain)) <= 1e-6
+
+
+def _bias_only_snn(b1, rows=1, rate=0.0):
+    """An SNN expert whose weights are zero, so its output is the dropped-out
+    ELU of ``b1`` on every row of a ``rows``-row bag plus a reference that is
+    exactly zero outside training; a bias-only block isolates the ELU and
+    the alpha dropout of the fused op."""
+    d = len(b1)
+    params = SnnParams.create(d, nc.rng_stream(0), dropout_rate=rate)
+    params.w1.data[:] = 0.0
+    params.w2.data[:] = 0.0
+    params.b1.data[:] = b1
+    return params, nc.Tensor(np.ones((rows, d))), nc.Tensor(np.ones((rows, d)))
 
 
 class TestActivations:
+    """The unit-alpha ELU inside the SNN expert."""
+
     def test_zero_points(self):
-        assert nc.elu(nc.Tensor([[0.0]])).item() == 0.0
+        params, f1, f2 = _bias_only_snn([0.0])
+        assert snnfusion(f1, f2, params, training=False, rng=None).item() == 0.0
 
     def test_elu_saturation(self):
-        val = nc.elu(nc.Tensor([[-20.0]])).item()
+        params, f1, f2 = _bias_only_snn([-20.0])
+        val = snnfusion(f1, f2, params, training=False, rng=None).item()
         assert -1.0 < val <= -0.999999
 
     @pytest.mark.parametrize("kind", ["elu"])
     def test_gradient(self, kind):
         rng = nc.rng_stream(8)
-        x = nc.Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-        nc.reduce_sum(getattr(nc, kind)(x)).backward()
+        params, f1, f2 = _bias_only_snn(rng.standard_normal(5), rows=2)
+        nc.reduce_sum(snnfusion(f1, f2, params, training=False, rng=None)).backward()
         forward = {"elu": lambda a: np.where(a > 0, a, np.expm1(a))}[kind]
 
         def f():
-            return float(np.sum(forward(x.data)))
+            return float(np.sum(2 * forward(params.b1.data)))
 
-        assert rel_err(x.grad, numeric_grad(f, x.data)) <= 1e-6
+        assert rel_err(params.b1.grad, numeric_grad(f, params.b1.data)) <= 1e-6
 
 
 class TestAlphaDropout:
+    """The alpha dropout inside the SNN expert."""
+
     def test_eval_mode_identity(self):
-        x = nc.Tensor(np.arange(6.0).reshape(2, 3))
-        out = nc.alpha_dropout(x, 0.5, training=False, rng=nc.rng_stream(0))
-        assert out is x
+        rng = nc.rng_stream(0)
+        params, f1, f2 = _bias_only_snn(np.arange(-3.0, 3.0), rows=2, rate=0.5)
+        out = snnfusion(f1, f2, params, training=False, rng=rng)
+        params.dropout_rate = 0.0
+        assert np.array_equal(out.data, snnfusion(f1, f2, params, False, None).data)
+        assert rng.random() == nc.rng_stream(0).random()
 
     def test_zero_rate_identity(self):
-        x = nc.Tensor(np.arange(6.0).reshape(2, 3))
-        assert nc.alpha_dropout(x, 0.0, training=True, rng=nc.rng_stream(0)) is x
+        rng = nc.rng_stream(0)
+        params, f1, f2 = _bias_only_snn(np.arange(-3.0, 3.0), rows=2)
+        out = snnfusion(f1, f2, params, training=True, rng=rng)
+        assert np.array_equal(out.data, snnfusion(f1, f2, params, False, None).data)
+        assert rng.random() == nc.rng_stream(0).random()
 
     def test_rate_one_rejected(self):
-        with pytest.raises(ConfigError):
-            nc.alpha_dropout(nc.Tensor([[1.0]]), 1.0, training=True, rng=nc.rng_stream(0))
+        for rate in (1.0, -0.25):
+            with pytest.raises(ConfigError, match="dropout"):
+                SnnParams.create(2, nc.rng_stream(0), dropout_rate=rate)
 
     def test_monte_carlo_moments(self):
-        rng = nc.rng_stream(123)
-        x = nc.Tensor(rng.standard_normal(1_000_000))
-        out = nc.alpha_dropout(x, 0.25, training=True, rng=nc.rng_stream(99))
+        # Block 1's activations are -0.5 in four columns and 2 in the fifth:
+        # mean 0 and mean square 1 per row. Block 2's are 0, so over many
+        # rows its dropped-out mean, the reference row, is close to 0.
+        params, f1, f2 = _bias_only_snn([np.log(0.5)] * 4 + [2.0], rows=100_000,
+                                        rate=0.25)
+        out = snnfusion(f1, f2, params, training=True, rng=nc.rng_stream(99))
         assert abs(out.data.mean()) <= 0.01
         assert abs(out.data.var() - 1.0) <= 0.02
 
     def test_gradient_masks_dropped_entries(self):
-        rng = nc.rng_stream(9)
-        x = nc.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        out = nc.alpha_dropout(x, 0.5, training=True, rng=nc.rng_stream(42))
-        nc.reduce_sum(out).backward()
-
-        def f():
-            r = nc.rng_stream(42)
-            keep = r.random(x.data.shape) >= 0.5
-            q, sat = 0.5, nc.ELU_SATURATION
-            a = 1.0 / np.sqrt(q + sat**2 * 0.5 * q)
-            return float(np.sum(a * np.where(keep, x.data, sat) + (-a * 0.5 * sat)))
-
-        assert rel_err(x.grad, numeric_grad(f, x.data)) <= 1e-6
+        params, f1, f2 = _bias_only_snn(np.full(16, 0.5), rate=0.5)
+        nc.reduce_sum(snnfusion(f1, f2, params, training=True, rng=nc.rng_stream(42))).backward()
+        keep = nc.rng_stream(42).random((1, 16))[0] >= 0.5
+        assert keep.any() and not keep.all()
+        q, sat = 0.5, ELU_SATURATION
+        scale = 1.0 / np.sqrt(q + sat**2 * 0.5 * q)
+        assert np.array_equal(params.b1.grad[~keep], np.zeros((~keep).sum()))
+        assert np.allclose(params.b1.grad[keep], scale, rtol=1e-15, atol=0.0)
 
 
 class TestBackward:
@@ -185,8 +223,9 @@ class TestBackward:
         gain = nc.Tensor(np.ones(4), requires_grad=True)
 
         def build():
-            h = nc.elu(nc.rmsnorm(nc.matmul(x, w), gain, eps=1e-8))
-            return nc.reduce_sum(nc.mul(nc.mean_rows(nc.mul(h, h)), nc.slice_rows(h, 1, 2)))
+            h = nc.mul(nc.matmul(x, w), gain)
+            stacked = nc.concat_rows([h, nc.mul(h, h)])
+            return nc.reduce_sum(nc.mul(stacked, nc.matmul(stacked, w)))
 
         build().backward()
         got = {id(t): t.grad.copy() for t in (x, w, gain)}
@@ -215,9 +254,8 @@ class TestBackward:
             rng = nc.rng_stream(77)
             x = nc.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
             w = nc.Tensor(rng.standard_normal((6, 6)), requires_grad=True)
-            out = nc.alpha_dropout(
-                nc.elu(nc.matmul(x, w)), 0.3, training=True, rng=nc.rng_stream(5)
-            )
+            params = SnnParams.create(6, nc.rng_stream(78), dropout_rate=0.3)
+            out = snnfusion(nc.matmul(x, w), x, params, training=True, rng=nc.rng_stream(5))
             loss = nc.reduce_sum(out)
             loss.backward()
             return loss.item(), x.grad.copy(), w.grad.copy()
@@ -317,10 +355,15 @@ class TestAdam:
 
 class TestStructuralOps:
     def test_concat_slice_roundtrip_and_grads(self):
+        """Rows 1-3 of the stack carry weight 3, the rest none: each part
+        gets back the gradient of its own rows."""
         a = nc.Tensor(np.ones((2, 3)), requires_grad=True)
         b = nc.Tensor(2 * np.ones((3, 3)), requires_grad=True)
         cat = nc.concat_rows([a, b])
-        nc.reduce_sum(nc.mul(nc.slice_rows(cat, 1, 4), nc.Tensor(np.full((3, 3), 3.0)))).backward()
+        assert np.array_equal(cat.data, np.concatenate([a.data, b.data]))
+        weights = np.zeros((5, 3))
+        weights[1:4] = 3.0
+        nc.reduce_sum(nc.mul(cat, nc.Tensor(weights))).backward()
         assert np.array_equal(a.grad, [[0, 0, 0], [3, 3, 3]])
         assert np.array_equal(b.grad, [[3, 3, 3], [3, 3, 3], [0, 0, 0]])
 

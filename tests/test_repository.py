@@ -1,4 +1,6 @@
 import argparse
+import ast
+import glob
 import os
 import shlex
 import shutil
@@ -55,3 +57,38 @@ def test_every_readme_flag_exists():
         accepted = subparsers[words[1]]._option_string_actions
         unknown = [w for w in words[2:] if w.startswith("--") and w not in accepted]
         assert unknown == [], " ".join(words)
+
+
+def test_every_numcore_function_has_a_caller_outside_numcore():
+    """Each public function of ``mome.numcore`` is called from another module
+    of the package (``gradcheck`` counts), so no primitive outlives its
+    last caller."""
+    package = os.path.join(ROOT, "src", "mome")
+    with open(os.path.join(package, "numcore.py")) as fh:
+        tree = ast.parse(fh.read())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in glob.glob(os.path.join(package, "*.py")):
+        if os.path.basename(path) == "numcore.py":
+            continue
+        with open(path) as fh:
+            module = ast.parse(fh.read())
+        aliases, imported = set(), set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.module == "numcore":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "numcore")
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in imported:
+                called.add(func.id)
+    assert public, "no public functions found in numcore"
+    assert sorted(public - called) == []
