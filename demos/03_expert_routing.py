@@ -47,11 +47,12 @@ print("\ngate logits:", np.round(decision.logits.data[0], 4))
 print("chosen:", ExpertId(decision.expert).name,
       "with probability", round(decision.probability.item(), 4))
 
-# Hard routing: one forward executes exactly one expert.
-log = []
-mome_forward(f1, f2, layer, routing_log=log, sample_id="demo", layer_index=0)
+# Hard routing: one forward executes exactly one expert, and hands the
+# gate's decision back through ``routes``.
+routes = []
+mome_forward(f1, f2, layer, routes=routes)
 print("\ncall counts after one forward:", layer.call_counts)
-print("routing record:", log[0])
+print("routed to:", routes[0].expert.name, "logits", np.round(routes[0].logits.data[0], 4))
 
 # Disabling experts renormalizes the probability over the survivors.
 forced = gate(f1, f2, layer.gate, enable_mask=(False, False, True, False))

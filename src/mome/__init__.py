@@ -15,17 +15,17 @@ Subpackages:
 * :mod:`mome.bpe` - the full model and its checkpoint format,
 * :mod:`mome.survival` - hazards, censored likelihood, C-index,
 * :mod:`mome.data` - file formats, folds, synthetic cohorts,
-* :mod:`mome.training` - cross-validated training harness,
+* :mod:`mome.training` - cross-validated training harness, routing records,
 * :mod:`mome.gradcheck` - finite-difference verification suite,
 * :mod:`mome.cli` - the ``mome`` command-line tool.
 """
 
 from .attention import AttentionParams, co_attention, self_attention, verify_ca_embedding
 from .bpe import GenomicGroups, ModelConfig, MoMEModel, load_checkpoint, save_checkpoint
-from .experts import ExpertId, MoMELayer, RoutingRecord, mome_forward
+from .experts import ExpertId, MoMELayer, mome_forward
 from .numcore import Adam, Tensor, no_grad, rng_stream
 from .survival import HazardCurve, SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score
-from .training import RunConfig, train_cohort
+from .training import RoutingRecord, RunConfig, train_cohort
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,8 @@ against the *updated* first. Every encoding step is one gated expert
 layer (see :mod:`mome.experts`), so with the default two rounds a sample
 passes through four expert layers. A learned classification token
 attends over both encoded bags and is mapped to per-interval hazard
-logits.
+logits. The model never sees a sample id: it hands each layer's gate
+decision back to the caller through ``routes``.
 
 Checkpoints are single binary files:
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import numcore as nc
 from .attention import AttentionParams, self_attention
 from .errors import ConfigError, DataError, FormatError
-from .experts import MoMELayer, RoutingRecord, mome_forward, parse_expert_spec
+from .experts import GateDecision, MoMELayer, mome_forward, parse_expert_spec
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"MOMEMODL"
@@ -200,15 +201,9 @@ class MoMEModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def embed_patches(self, patch_bag) -> Tensor:
-        bag = patch_bag if isinstance(patch_bag, Tensor) else Tensor(patch_bag)
-        if bag.ndim != 2 or bag.shape[0] < 1:
-            raise DataError(f"patch bag must be nonempty and rank-2, got shape {bag.shape}")
-        if bag.shape[1] != self.config.d_in:
-            raise DataError(
-                f"patch features are {bag.shape[1]}-wide, model expects {self.config.d_in}"
-            )
-        return nc.add(nc.matmul(bag, self.patch_w), self.patch_b)
+    def embed_patches(self, patch_bag: np.ndarray) -> Tensor:
+        """One embedded token per patch row: ``patch_bag @ w + b``."""
+        return nc.add(nc.matmul(Tensor(patch_bag), self.patch_w), self.patch_b)
 
     def embed_genomics(self, groups: GenomicGroups) -> Tensor:
         """One embedded token per genomic group, stacked into a 6 x d bag,
@@ -233,28 +228,32 @@ class MoMEModel:
 
     def forward(
         self,
-        patch_bag,
+        patch_bag: np.ndarray,
         groups: GenomicGroups,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        routing_log: list[RoutingRecord] | None = None,
-        sample_id: str = "",
         key_chunk: int | None = None,
+        routes: list[GateDecision] | None = None,
     ) -> Tensor:
-        """Hazard logits [1, T] for one sample.
+        """Hazard logits [1, T] for one sample; with a ``routes`` list, each
+        expert layer appends its gate decision to it, in layer order.
 
-        Patch rows are sorted into a canonical order first. The bag is an
-        unordered set, and this sort is the single place that makes the
-        model order-free: every later op sees the rows in this order (or
-        in a fixed one, for the genomic groups and bottleneck tokens), so
-        outputs, dropout draws, the loss and every gradient are
+        The bag is an array of ``d_in``-wide rows (no graph tensor: no
+        gradient flows to the input), and an unordered set. Its rows are
+        sorted into a canonical order first, the single place that makes
+        the model order-free: every later op sees the rows in this order
+        (or in a fixed one, for the genomic groups and bottleneck tokens),
+        so outputs, dropout draws, the loss and every gradient are
         bit-identical under any permutation of the input rows, in training
-        and in evaluation. The ops themselves, pooling included, promise
-        no order-freedom of their own.
+        and in evaluation. No op, pooling included, is order-free itself.
         """
-        raw = patch_bag.data if isinstance(patch_bag, Tensor) else np.asarray(patch_bag)
-        if raw.ndim != 2 or min(raw.shape) < 1:
-            raise DataError(f"patch bag must be nonempty and rank-2, got shape {raw.shape}")
+        raw = np.asarray(patch_bag)
+        if raw.ndim != 2 or raw.shape[0] < 1:
+            raise DataError(f"patch bag must be a nonempty rank-2 array, got shape {raw.shape}")
+        if raw.shape[1] != self.config.d_in:
+            raise DataError(
+                f"patch features are {raw.shape[1]}-wide, model expects {self.config.d_in}"
+            )
         canonical = raw[canonical_row_order(raw)]
         pathology = self.embed_patches(canonical)
         genomics = self.embed_genomics(groups)
@@ -265,9 +264,8 @@ class MoMEModel:
             f1, f2 = genomics, pathology
         # Alternating rounds: each layer encodes one modality against the
         # other's latest encoding, so the pair swaps roles after every layer.
-        for i, layer in enumerate(self.layers):
-            f1, f2 = f2, mome_forward(f1, f2, layer, training, rng, routing_log, sample_id,
-                                      layer_index=i, key_chunk=key_chunk)
+        for layer in self.layers:
+            f1, f2 = f2, mome_forward(f1, f2, layer, training, rng, key_chunk, routes)
         if self.config.first_encoded == "pathology":
             f_patho, f_geno = f1, f2
         else:

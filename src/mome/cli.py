@@ -23,13 +23,15 @@ from typing import get_type_hints
 from .bpe import load_checkpoint
 from .data import synthesize_cohort
 from .errors import ConfigError, DataError, MetricError, MomeError, NumericError, UsageError
-from .experts import ROUTING_LOG_HEADER, ExpertId, format_routing_record
+from .experts import ExpertId
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .training import (
     METRICS_HEADER,
+    ROUTING_LOG_HEADER,
     RunConfig,
     evaluate,
     format_metrics_record,
+    format_routing_record,
     load_cohort,
     routing_statistics,
     train_cohort,

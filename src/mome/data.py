@@ -347,16 +347,6 @@ def kfold_split(rows: list[ManifestRow], k: int = 5, seed: int = 0) -> list[int]
 SIGNALS = ("patho", "geno", "cross")
 
 
-@dataclass
-class SampleLatents:
-    sample_id: str
-    risk: float
-    patho_factor: float
-    geno_factor: float
-    event_time: float
-    censor_time: float
-
-
 def _holdout_r2(features: np.ndarray, target: np.ndarray) -> float:
     """R-squared of a linear fit, measured on a held-out half.
 
@@ -482,7 +472,6 @@ def synthesize_cohort(
     observed = np.minimum(event_times, censor_times)
 
     rows: list[ManifestRow] = []
-    latents: list[SampleLatents] = []
     patch_means = np.empty((n_samples, dim))
     group_means = np.empty((n_samples, N_GROUPS))
     for i, rng in enumerate(streams):
@@ -513,16 +502,6 @@ def synthesize_cohort(
                 censored=bool(censored[i]),
             )
         )
-        latents.append(
-            SampleLatents(
-                sample_id,
-                float(risks[i]),
-                float(s_factor[i]),
-                float(q_factor[i]),
-                float(event_times[i]),
-                float(censor_times[i]),
-            )
-        )
         patch_means[i] = patches.mean(axis=0)
         group_means[i] = [g.mean() for g in groups]
 
@@ -540,13 +519,4 @@ def synthesize_cohort(
 
     manifest_path = os.path.join(out_dir, "manifest.csv")
     write_manifest(manifest_path, rows)
-    with open(os.path.join(out_dir, "latents.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "risk", "patho_factor", "geno_factor",
-                         "event_time", "censor_time"])
-        for item in latents:
-            writer.writerow(
-                [item.sample_id, repr(item.risk), repr(item.patho_factor),
-                 repr(item.geno_factor), repr(item.event_time), repr(item.censor_time)]
-            )
     return manifest_path

@@ -18,6 +18,10 @@ nodes, ``gate_logits`` and ``gate_probability``, and the SNN expert is
 one, ``snnfusion``; both normalize with the one RMSNorm of this module.
 The attention experts hand their query bag and key bags to
 :func:`~mome.attention.self_attention`.
+
+A layer knows nothing of the sample it routes: :func:`mome_forward`
+hands its :class:`GateDecision` back through ``routes``, and the caller
+that knows the sample (``training.evaluate``) turns it into a record.
 """
 
 from __future__ import annotations
@@ -166,24 +170,6 @@ class MoMELayer(nc.ParameterSet):
             snn=SnnParams.create(d, rng, dropout_rate),
             enable_mask=tuple(bool(b) for b in enable_mask),
         )
-
-
-@dataclass
-class RoutingRecord:
-    """Which expert a (layer, sample) pair was dispatched to."""
-
-    layer: int
-    sample_id: str
-    expert: ExpertId
-    logits: tuple[float, float, float, float]
-
-
-ROUTING_LOG_HEADER = "layer,sample_id,expert,logit0,logit1,logit2,logit3"
-
-
-def format_routing_record(record: RoutingRecord) -> str:
-    logits = ",".join(f"{v:.10g}" for v in record.logits)
-    return f"{record.layer},{record.sample_id},{int(record.expert)},{logits}"
 
 
 @dataclass
@@ -396,12 +382,11 @@ def mome_forward(
     layer: MoMELayer,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    routing_log: list[RoutingRecord] | None = None,
-    sample_id: str = "",
-    layer_index: int = 0,
     key_chunk: int | None = None,
+    routes: list[GateDecision] | None = None,
 ) -> Tensor:
-    """Route one sample through exactly one expert of this layer.
+    """Route one sample through exactly one expert of this layer; when
+    ``routes`` is a list, append the gate's decision to it.
 
     Training needs ``rng`` whichever expert the gate picks, so the check
     comes before the gate.
@@ -421,14 +406,6 @@ def mome_forward(
         out = snnfusion(f1, f2, layer.snn, training, rng)
     else:
         out = dropf2fusion(f1, f2)
-    out = nc.mul(out, decision.probability)
-    if routing_log is not None:
-        routing_log.append(
-            RoutingRecord(
-                layer=layer_index,
-                sample_id=sample_id,
-                expert=expert,
-                logits=tuple(float(v) for v in decision.logits.data[0]),
-            )
-        )
-    return out
+    if routes is not None:
+        routes.append(decision)
+    return nc.mul(out, decision.probability)

@@ -9,6 +9,10 @@ and its mean and standard deviation across folds.
 All randomness (shuffling, dropout, per-fold init) derives from the run
 seed through a counter-mix, so a single-threaded rerun with the same
 seed reproduces the metrics stream exactly (wall-time fields aside).
+
+Only this module knows which sample runs: ``evaluate`` stamps the gate
+decisions the model hands back into routing records, and a sample's
+non-finite value, in training or evaluation, is one ``TrainingAbort``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .data import (
     resolve_path,
 )
 from .errors import ConfigError, DataError, NumericError
-from .experts import EXPERT_COUNT, RoutingRecord
+from .experts import EXPERT_COUNT, ExpertId
 from .numcore import Adam, rng_stream
 from .survival import SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score
 
@@ -62,8 +66,11 @@ class RunConfig(ModelSettings):
     grad_accum: int = setting(1, "samples accumulated per optimizer step")
 
     def __post_init__(self):
+        # key_chunk None is dense attention (no key blocks); nothing else may be None.
+        for f in fields(self):
+            if f.name != "key_chunk" and getattr(self, f.name) is None:
+                raise ConfigError(f"{f.name} must be set, got None", f.name)
         super().__post_init__()
-        # key_chunk None is dense attention (no key blocks).
         for name in ("epochs", "key_chunk", "grad_accum"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -145,8 +152,9 @@ def _quiet_floating_point():
 
 
 class TrainingAbort(NumericError):
-    """Raised when a non-finite value in a training step (forward, backward
-    or optimizer update) ends a run; carries the sample id."""
+    """Raised when a non-finite value ends a run: in a training step
+    (forward, backward or optimizer update) or in an evaluation forward.
+    It carries the sample id; the cause names the op."""
 
     def __init__(self, sample_id: str, cause: Exception):
         super().__init__(f"non-finite value at sample '{sample_id}': {cause}")
@@ -162,26 +170,29 @@ def evaluate(
 ) -> tuple[float, float, list[float]]:
     """Mean loss, C-index, and per-sample risks over ``indices`` (eval mode).
 
-    Runs without recording a graph. A non-finite value raises
-    ``NumericError`` naming the op and the sample that produced it.
+    Runs without recording a graph. When ``routing_log`` is a list, each
+    sample appends one record per expert layer, in layer order. A
+    non-finite value raises ``TrainingAbort`` naming the op and the sample
+    that produced it.
     """
     losses, risks = [], []
     with nc.no_grad(), _quiet_floating_point():
         for i in indices:
             sample_id = cohort.rows[i].sample_id
+            routes = None if routing_log is None else []
             try:
-                logits = model.forward(
-                    cohort.bags[i],
-                    cohort.genomics[i],
-                    training=False,
-                    routing_log=routing_log,
-                    sample_id=sample_id,
-                    key_chunk=key_chunk,
-                )
+                logits = model.forward(cohort.bags[i], cohort.genomics[i], key_chunk=key_chunk,
+                                       routes=routes)
                 curve = hazards_from_logits(logits)
                 losses.append(nll_loss(curve, cohort.targets[i]).item())
             except NumericError as err:
-                raise NumericError(f"{err} at sample '{sample_id}'") from err
+                raise TrainingAbort(sample_id, err) from err
+            if routing_log is not None:
+                routing_log += [
+                    RoutingRecord(layer, sample_id, decision.expert,
+                                  tuple(float(v) for v in decision.logits.data[0]))
+                    for layer, decision in enumerate(routes)
+                ]
             risks.append(risk_score(curve))
     score = c_index(risks, [cohort.targets[i] for i in indices])
     return float(np.mean(losses)), score, risks
@@ -230,14 +241,8 @@ def train_fold(
             for step, i in enumerate(order):
                 sample_rng = rng_stream(derive_seed(run.seed, fold, epoch, i))
                 try:
-                    logits = model.forward(
-                        cohort.bags[i],
-                        cohort.genomics[i],
-                        training=True,
-                        rng=sample_rng,
-                        sample_id=cohort.rows[i].sample_id,
-                        key_chunk=run.key_chunk,
-                    )
+                    logits = model.forward(cohort.bags[i], cohort.genomics[i], training=True,
+                                           rng=sample_rng, key_chunk=run.key_chunk)
                     curve = hazards_from_logits(logits)
                     loss = nll_loss(curve, cohort.targets[i])
                     nc.mul(loss, 1.0 / run.grad_accum).backward()
@@ -289,14 +294,19 @@ def train_fold(
 
 
 def train_cohort(run: RunConfig, manifest_path, out_dir, emit=None) -> TrainSummary:
-    """Train every fold present in the manifest and summarize."""
+    """Train every fold present in the manifest and summarize. A manifest
+    with no fold column assigned is split into ``run.folds`` folds; one
+    with some rows assigned and others not is rejected."""
     cohort = load_cohort(manifest_path, run.time_bins)
-    folds = sorted({r.fold for r in cohort.rows if r.fold >= 0})
-    if not folds:
+    unassigned = [r.sample_id for r in cohort.rows if r.fold < 0]
+    if len(unassigned) == len(cohort.rows):
         assignment = kfold_split(cohort.rows, k=run.folds, seed=run.seed)
         for row, fold in zip(cohort.rows, assignment):
             row.fold = fold
-        folds = sorted(set(assignment))
+    elif unassigned:
+        raise DataError(f"sample '{unassigned[0]}' has no fold while others do: "
+                        "assign a fold to every manifest row or to none")
+    folds = sorted({r.fold for r in cohort.rows})
 
     records: list[MetricsRecord] = []
 
@@ -313,6 +323,24 @@ def train_cohort(run: RunConfig, manifest_path, out_dir, emit=None) -> TrainSumm
         std_c_index=float(np.std(scores)),
         records=records,
     )
+
+
+@dataclass
+class RoutingRecord:
+    """Which expert a (layer, sample) pair was dispatched to."""
+
+    layer: int
+    sample_id: str
+    expert: ExpertId
+    logits: tuple[float, float, float, float]
+
+
+ROUTING_LOG_HEADER = "layer,sample_id,expert,logit0,logit1,logit2,logit3"
+
+
+def format_routing_record(record: RoutingRecord) -> str:
+    logits = ",".join(f"{v:.10g}" for v in record.logits)
+    return f"{record.layer},{record.sample_id},{int(record.expert)},{logits}"
 
 
 @dataclass

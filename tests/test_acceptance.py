@@ -81,16 +81,16 @@ class TestCriterion03HardRouting:
             layer.gate.gain2.data[:] = 1.0
             layer.gate.w.data[:] = np.tile(np.asarray(colsums, float) / d, (d, 1))
 
-        def run(p_sign, g_sign, sample_id):
+        def run(p_sign, g_sign):
             patches = p_sign * np.ones((5, d))
             groups = GenomicGroups(tuple(g_sign * np.ones(3) for _ in range(6)))
-            log = []
-            model.forward(patches, groups, routing_log=log, sample_id=sample_id)
-            return [(r.layer, int(r.expert)) for r in log]
+            routes = []
+            model.forward(patches, groups, routes=routes)
+            return [(layer, int(decision.expert)) for layer, decision in enumerate(routes)]
 
         model.reset_call_counts()
-        route_a = run(+1.0, +1.0, "A")
-        route_b = run(-1.0, -1.0, "B")
+        route_a = run(+1.0, +1.0)
+        route_b = run(-1.0, -1.0)
         per_layer_counts = [sum(layer.call_counts) for layer in model.layers]
 
         one_expert_each = per_layer_counts == [2, 2]  # 2 samples through each layer

@@ -163,9 +163,12 @@ class TestRoundOrder:
 
         monkeypatch.setattr(bpe, "mome_forward", recorder)
         monkeypatch.setattr(nc, "concat_rows", concat_recorder)
-        model.forward(patches, groups)
+        routes = []
+        model.forward(patches, groups, routes=routes)
 
-        assert [call["layer_index"] for call, _ in calls] == list(range(2 * rounds))
+        # A decision's position in ``routes`` is its layer: one per call, in call order.
+        assert all(call["routes"] is routes for call, _ in calls)
+        assert len(routes) == len(calls) == 2 * rounds
         assert all(call["layer"] is model.layers[i] for i, (call, _) in enumerate(calls))
         assert calls[0][0]["f1"] is embedded[first]
         assert calls[0][0]["f2"] is embedded[second]
@@ -193,10 +196,13 @@ class TestForward:
         config = small_config()
         model = MoMEModel(config)
         patches, groups = random_sample(config, seed=8)
-        log = []
-        model.forward(patches, groups, routing_log=log, sample_id="s")
-        assert len(log) == 4
-        assert [r.layer for r in log] == [0, 1, 2, 3]
+        routes = []
+        model.forward(patches, groups, routes=routes)
+        assert len(routes) == 4
+        # The decision at position i is the one layer i dispatched.
+        routed = [(layer, int(decision.expert)) for layer, decision in enumerate(routes)]
+        assert routed == [(i, int(np.argmax(layer.call_counts)))
+                          for i, layer in enumerate(model.layers)]
         assert sum(sum(layer.call_counts) for layer in model.layers) == 4
 
     def test_eval_forward_is_deterministic(self):
@@ -229,12 +235,12 @@ class TestForward:
             runs = []
             for bag in (patches, patches[perm]):
                 model = MoMEModel(config)
-                log = []
+                routes = []
                 logits = model.forward(bag, groups, training=True, rng=nc.rng_stream(seed),
-                                       routing_log=log)
+                                       routes=routes)
                 loss = nll_loss(hazards_from_logits(logits), target)
                 loss.backward()
-                routed.update(int(r.expert) for r in log)
+                routed.update(int(decision.expert) for decision in routes)
                 runs.append((loss.data, [(n, t.grad) for n, t in model.parameters()]))
             (loss_a, grads_a), (loss_b, grads_b) = runs
             assert np.array_equal(loss_a, loss_b)
@@ -267,6 +273,15 @@ class TestForward:
         _, groups = random_sample(config, seed=12)
         with pytest.raises(DataError):
             model.forward(np.zeros((5, 0)), groups)
+
+    def test_tensor_bag_rejected(self):
+        """The bag is an array: a graph tensor would get no gradient, so it
+        is a typed error rather than a silently detached input."""
+        config = small_config()
+        model = MoMEModel(config)
+        patches, groups = random_sample(config, seed=12)
+        with pytest.raises(DataError, match="rank-2 array"):
+            model.forward(nc.Tensor(patches, requires_grad=True), groups)
 
     def test_all_dropf2_reduces_to_readout_over_embeddings(self):
         config = small_config(enable_mask=(False, False, False, True))
@@ -322,24 +337,22 @@ class TestForward:
         config = small_config(first_encoded="genomics", rounds=1)
         model = MoMEModel(config)
         patches, groups = random_sample(config, seed=14)
-        log = []
-        out = model.forward(patches, groups, routing_log=log, sample_id="g-first")
+        routes = []
+        out = model.forward(patches, groups, routes=routes)
         assert out.shape == (1, config.time_bins)
-        assert len(log) == 2
+        assert len(routes) == 2
 
     def test_gradient_reaches_every_touched_parameter_group(self):
         config = small_config()
         model = MoMEModel(config)
         patches, groups = random_sample(config, seed=15)
-        log = []
-        logits = model.forward(
-            patches, groups, training=True, rng=nc.rng_stream(1), routing_log=log,
-            sample_id="s0",
-        )
+        routes = []
+        logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(1),
+                               routes=routes)
         target = SurvivalTarget(bin=1, censored=False, raw_time=100.0)
         nll_loss(hazards_from_logits(logits), target).backward()
 
-        routed = {(r.layer, int(r.expert)) for r in log}
+        routed = {(layer, int(decision.expert)) for layer, decision in enumerate(routes)}
         expert_prefixes = {
             int(ExpertId.TRANSFUSION): ("tf",),
             int(ExpertId.BOTTLENECK_TRANSFUSION): ("btf_inner", "btf_outer", "bottleneck"),
@@ -387,13 +400,13 @@ class TestPrunedRowsAtModelLevel:
     def run(model, patches, groups):
         for _, t in model.parameters():
             t.grad = None
-        log = []
+        routes = []
         logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(5),
-                               routing_log=log, key_chunk=512)
+                               key_chunk=512, routes=routes)
         target = SurvivalTarget(bin=2, censored=False, raw_time=1.0)
         nll_loss(hazards_from_logits(logits), target).backward()
         grads = {name: t.grad for name, t in model.parameters()}
-        return logits.data, grads, [r.expert for r in log]
+        return logits.data, grads, [decision.expert for decision in routes]
 
     @pytest.mark.parametrize("mask", [(True, True, True, True), (True, False, False, False)],
                              ids=["all", "tf"])

@@ -174,6 +174,23 @@ class TestTrainCommand:
                        "--out", str(tmp_path / "o"))
         assert code == 3
 
+    def test_partly_assigned_fold_column_is_data_error(self, cohort_dir, tmp_path, capsys):
+        lines = (cohort_dir / "manifest.csv").read_text().splitlines()
+        for n in range(1, len(lines)):
+            fields = lines[n].split(",")
+            fields[1:3] = [str(cohort_dir / name) for name in fields[1:3]]
+            if n in (4, 9):
+                fields[5] = "-1"
+            lines[n] = ",".join(fields)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--manifest", str(manifest), "--out", str(tmp_path / "o"))
+        assert code == 3
+        sample = lines[4].split(",")[0]
+        assert f"sample '{sample}' has no fold" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "o")) == ["metrics.csv"]  # no fold trained
+        assert (tmp_path / "o" / "metrics.csv").read_text().count("\n") == 1
+
 
 @pytest.fixture
 def train_runs(cohort_dir, tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from scipy import special
 
 import mome.numcore as nc
 from mome.attention import AttentionParams, self_attention
+from mome.bpe import GenomicGroups, ModelConfig, MoMEModel
+from mome.data import ManifestRow
 from mome.errors import ConfigError, DataError
 from mome.experts import (
     ELU_SATURATION,
@@ -14,12 +16,13 @@ from mome.experts import (
     SnnParams,
     bottleneck_transfusion,
     dropf2fusion,
-    format_routing_record,
     gate,
     mome_forward,
     snnfusion,
     transfusion,
 )
+from mome.survival import SurvivalTarget
+from mome.training import CohortData, evaluate, format_routing_record
 from test_attention import kernel_query_rows, rows_of
 
 
@@ -338,11 +341,12 @@ class TestMoMEForward:
     def test_forced_dropf2_returns_f1_exactly(self):
         layer = make_layer(seed=34, enable_mask=(False, False, False, True))
         f1, f2 = random_bags(seed=35)
-        log = []
-        out = mome_forward(f1, f2, layer, routing_log=log, sample_id="s0", layer_index=2)
+        routes = []
+        out = mome_forward(f1, f2, layer, routes=routes)
         assert np.array_equal(out.data, f1.data)
-        assert log[0].expert == ExpertId.DROPF2FUSION
-        assert log[0].layer == 2 and log[0].sample_id == "s0"
+        assert routes[0].expert == ExpertId.DROPF2FUSION
+        # One call appends one decision; the caller's list position is its layer.
+        assert [(i, d.expert) for i, d in enumerate(routes)] == [(0, ExpertId.DROPF2FUSION)]
 
     def test_exactly_one_expert_executes(self):
         layer = make_layer(seed=36)
@@ -418,11 +422,25 @@ class TestMoMEForward:
                 assert out.shape == (n1, 8)
 
     def test_routing_record_format(self):
-        layer = make_layer(seed=46, enable_mask=(False, False, False, True))
-        f1, f2 = random_bags(seed=47)
+        """Records are stamped by ``evaluate``, which knows the sample: one
+        per (sample, layer), sample-major, in layer order."""
+        config = ModelConfig(d=8, d_in=8, group_sizes=(2,) * 6, seed=46,
+                             enable_mask=(False, False, False, True))
+        rng = nc.rng_stream(47)
+        ids = ["case-8", "case-9"]
+        cohort = CohortData(
+            rows=[ManifestRow(s, "", "", 10.0 * (k + 1), False) for k, s in enumerate(ids)],
+            bags=[rng.standard_normal((4, 8)) for _ in ids],
+            genomics=[GenomicGroups(tuple(rng.standard_normal(2) for _ in range(6)))
+                      for _ in ids],
+            targets=[SurvivalTarget(bin=k, censored=False, raw_time=10.0 * (k + 1))
+                     for k in range(len(ids))],
+            bin_edges=np.array([15.0, 25.0, 35.0]),
+        )
         log = []
-        mome_forward(f1, f2, layer, routing_log=log, sample_id="case-9", layer_index=1)
-        line = format_routing_record(log[0])
+        evaluate(MoMEModel(config), cohort, [0, 1], routing_log=log)
+        assert [(r.layer, r.sample_id) for r in log] == [(i, s) for s in ids for i in range(4)]
+        line = format_routing_record(log[5])
         fields = line.split(",")
         assert fields[:3] == ["1", "case-9", "3"]
         assert len(fields) == 7

@@ -92,3 +92,22 @@ def test_every_numcore_function_has_a_caller_outside_numcore():
                 called.add(func.id)
     assert public, "no public functions found in numcore"
     assert sorted(public - called) == []
+
+
+@pytest.mark.parametrize("module", ["experts.py", "bpe.py"])
+def test_model_modules_take_no_sample_bookkeeping(module):
+    """The model is a function of the bag, the genomic groups and the
+    weights: no function of the expert layers or the full model takes a
+    sample id, a routing log or a layer index. Routing records are stamped
+    in ``training``, from the decisions ``forward`` hands back."""
+    with open(os.path.join(ROOT, "src", "mome", module)) as fh:
+        tree = ast.parse(fh.read())
+    banned = {"sample_id", "routing_log", "layer_index"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+            found += [f"{getattr(node, 'name', 'lambda')}({name})" for name in names & banned]
+    assert sorted(found) == []

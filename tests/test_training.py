@@ -172,7 +172,7 @@ class TestRunConfigRanges:
         ("lr", float("nan")), ("dropout_rate", 1.5), ("dropout_rate", 1.0),
         ("dropout_rate", -0.25), ("dropout_rate", float("nan")), ("weight_decay", -1.0),
         ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("folds", 1),
-        ("folds", 0),
+        ("folds", 0), ("epochs", None), ("grad_accum", None),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -228,3 +228,28 @@ class TestEvaluateNumericError:
         message = str(err.value)
         assert "'matmul'" in message and f"'{cohort.rows[5].sample_id}'" in message
         assert cohort.rows[10].sample_id not in message
+
+    def test_worded_as_in_training(self, tmp_path, monkeypatch):
+        """A sample's numeric failure reads the same in evaluation as in a
+        training step: one ``TrainingAbort`` naming the sample and the op."""
+        cohort = load_cohort(synthesize_cohort(12, 6, 8, "geno", 0.25, seed=8, out_dir=tmp_path,
+                                               folds=3), time_bins=3)
+        run = RunConfig(d=8, time_bins=3, epochs=1, seed=4)
+        failing = next(i for i, r in enumerate(cohort.rows) if r.fold != 0)
+
+        def failing_nll_loss(curve, target):
+            if target is cohort.targets[failing]:
+                raise NumericError("non-finite result produced by 'nll_loss'")
+            return nll_loss(curve, target)
+
+        monkeypatch.setattr(training, "nll_loss", failing_nll_loss)
+        with pytest.raises(TrainingAbort) as in_training:
+            train_fold(run, cohort, 0, tmp_path / "out")
+        model = MoMEModel(model_config_for(run, cohort, 0))
+        with pytest.raises(TrainingAbort) as in_evaluation:
+            evaluate(model, cohort, [failing])
+        sample_id = cohort.rows[failing].sample_id
+        assert in_evaluation.value.sample_id == in_training.value.sample_id == sample_id
+        assert str(in_evaluation.value) == str(in_training.value) == (
+            f"non-finite value at sample '{sample_id}': "
+            "non-finite result produced by 'nll_loss'")
