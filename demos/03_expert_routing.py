@@ -32,8 +32,7 @@ f2 = nc.Tensor(rng.standard_normal((3, 8)))  # reference modality
 print("transfusion:", transfusion(f1, f2, layer.tf).shape)
 print("bottleneck: ", bottleneck_transfusion(
     f1, f2, layer.bottleneck, layer.btf_inner, layer.btf_outer).shape)
-print("snnfusion:  ", snnfusion(f1, f2, layer.snn, training=False,
-                                rng=nc.rng_stream(0)).shape)
+print("snnfusion:  ", snnfusion(f1, f2, layer.snn, rng=None).shape)
 print("dropf2:     ", dropf2fusion(f1, f2).shape, "(returns f1 unchanged)")
 
 # Transfusion is self-attention over the stacked bags with f1 as the

@@ -67,17 +67,12 @@ class AttentionParams(nc.ParameterSet):
 
     @classmethod
     def create(cls, d: int, rng: np.random.Generator, head_count: int = 1) -> "AttentionParams":
-        bound = 1.0 / np.sqrt(d)
-        mats = [
-            Tensor(rng.uniform(-bound, bound, size=(d, d)), requires_grad=True) for _ in range(3)
-        ]
+        mats = [nc.fan_in_uniform(rng, (d, d)) for _ in range(3)]
         out_proj = None
         if head_count > 1:
             # Near-identity so the multi-head stack starts close to the
             # single-head behaviour.
-            out_proj = Tensor(
-                np.eye(d) + 0.01 * rng.standard_normal((d, d)), requires_grad=True
-            )
+            out_proj = Tensor(np.eye(d) + 0.01 * rng.standard_normal((d, d)), requires_grad=True)
         return cls(*mats, head_count=head_count, out_proj=out_proj)
 
 
@@ -236,6 +231,10 @@ def cross_block_mask(n1: int, n2: int) -> np.ndarray:
     return mask
 
 
+CA_SCORE_TOL = 1e-12
+CA_OUTPUT_TOL = 1e-10
+
+
 @dataclass
 class CaEquivalenceReport:
     """Outcome of the co-attention-inside-self-attention check."""
@@ -250,8 +249,6 @@ def verify_ca_embedding(
     f2: Tensor,
     params: AttentionParams,
     ca_params: AttentionParams | None = None,
-    score_tol: float = 1e-12,
-    output_tol: float = 1e-10,
 ) -> CaEquivalenceReport:
     """Check that co-attention is embedded in concatenated self-attention.
 
@@ -261,7 +258,8 @@ def verify_ca_embedding(
     matrix with the query modality's own block masked out, restricted to
     the first n1 rows and applied to the stacked values, equals the
     kernel's co-attention. Part (b) checks the streaming kernel against an
-    independent reference. ``ca_params`` substitutes different weights on
+    independent reference; (a) must hold to ``CA_SCORE_TOL``, (b) to
+    ``CA_OUTPUT_TOL``. ``ca_params`` substitutes different weights on
     the co-attention side (useful as a negative control) and defaults to
     the shared ones.
     """
@@ -283,7 +281,7 @@ def verify_ca_embedding(
         co = co_attention(f1, f2, ca)
         output_dev = float(np.max(np.abs(reference - co.data)))
     return CaEquivalenceReport(
-        ok=score_dev <= score_tol and output_dev <= output_tol,
+        ok=score_dev <= CA_SCORE_TOL and output_dev <= CA_OUTPUT_TOL,
         score_block_dev=score_dev,
         output_dev=output_dev,
     )

@@ -32,7 +32,7 @@ payload value and trailing bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class ModelSettings:
                                   flag="--dropout")
 
     def __post_init__(self):
+        # For every subclass field too; RunConfig's key_chunk None is dense attention.
+        for f in fields(self):
+            if getattr(self, f.name) is None and f.name != "key_chunk":
+                raise ConfigError(f"{f.name} must be set, got None", f.name)
         if self.rounds < 1:
             raise ConfigError("at least one encoding round is required", "rounds")
         if self.time_bins < 2:
@@ -157,29 +161,18 @@ class MoMEModel:
         self.config = config
         rng = nc.rng_stream(config.seed)
         d = config.d
-
-        def linear(shape):
-            bound = 1.0 / np.sqrt(shape[0])
-            return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-        self.patch_w = linear((config.d_in, d))
+        self.patch_w = nc.fan_in_uniform(rng, (config.d_in, d))
         self.patch_b = Tensor(np.zeros(d), requires_grad=True)
-        self.group_w = [linear((size, d)) for size in config.group_sizes]
+        self.group_w = [nc.fan_in_uniform(rng, (size, d)) for size in config.group_sizes]
         self.group_b = [Tensor(np.zeros(d), requires_grad=True) for _ in range(N_GROUPS)]
         self.layers = [
-            MoMELayer.create(
-                d,
-                rng,
-                n_bottleneck=config.n_b,
-                head_count=config.head_count,
-                enable_mask=config.enable_mask,
-                dropout_rate=config.dropout_rate,
-            )
+            MoMELayer.create(d, rng, n_bottleneck=config.n_b, head_count=config.head_count,
+                             enable_mask=config.enable_mask, dropout_rate=config.dropout_rate)
             for _ in range(config.layer_count)
         ]
         self.cls_token = Tensor(0.02 * rng.standard_normal((1, d)), requires_grad=True)
         self.readout = AttentionParams.create(d, rng, config.head_count)
-        self.head_w = linear((d, config.time_bins))
+        self.head_w = nc.fan_in_uniform(rng, (d, config.time_bins))
         self.head_b = Tensor(np.zeros(config.time_bins), requires_grad=True)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -192,10 +185,6 @@ class MoMEModel:
         named += self.readout.parameters("readout")
         named += [("head.w", self.head_w), ("head.b", self.head_b)]
         return named
-
-    def reset_call_counts(self) -> None:
-        for layer in self.layers:
-            layer.call_counts[:] = [0] * len(layer.call_counts)
 
     # ------------------------------------------------------------------
     # forward pieces
@@ -238,6 +227,9 @@ class MoMEModel:
         """Hazard logits [1, T] for one sample; with a ``routes`` list, each
         expert layer appends its gate decision to it, in layer order.
 
+        With ``training`` the layers draw dropout from ``rng``, which this one
+        check requires before any op runs; otherwise they get no stream.
+
         The bag is an array of ``d_in``-wide rows (no graph tensor: no
         gradient flows to the input), and an unordered set. Its rows are
         sorted into a canonical order first, the single place that makes
@@ -247,6 +239,8 @@ class MoMEModel:
         bit-identical under any permutation of the input rows, in training
         and in evaluation. No op, pooling included, is order-free itself.
         """
+        if training and rng is None:
+            raise ConfigError("forward in training mode needs an rng stream")
         raw = np.asarray(patch_bag)
         if raw.ndim != 2 or raw.shape[0] < 1:
             raise DataError(f"patch bag must be a nonempty rank-2 array, got shape {raw.shape}")
@@ -265,7 +259,8 @@ class MoMEModel:
         # Alternating rounds: each layer encodes one modality against the
         # other's latest encoding, so the pair swaps roles after every layer.
         for layer in self.layers:
-            f1, f2 = f2, mome_forward(f1, f2, layer, training, rng, key_chunk, routes)
+            f1, f2 = f2, mome_forward(f1, f2, layer, rng if training else None, key_chunk,
+                                      routes)
         if self.config.first_encoded == "pathology":
             f_patho, f_geno = f1, f2
         else:

@@ -8,13 +8,14 @@ underscores, and an unknown key or a bad value is a configuration error.
 The environment variable ``MOME_SEED`` is the seed fallback when neither
 a flag nor the config file sets one.
 
-Exit codes: 0 success, 1 validation or tolerance failure, 2 usage or
-configuration error, 3 data or file-format error.
+Exit codes: 0 success, 1 a failed gradient check; an error exits with its
+class's ``exit_code`` (see :mod:`mome.errors`), an ``OSError`` with 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import Field, fields
@@ -22,7 +23,7 @@ from typing import get_type_hints
 
 from .bpe import load_checkpoint
 from .data import synthesize_cohort
-from .errors import ConfigError, DataError, MetricError, MomeError, NumericError, UsageError
+from .errors import ConfigError, DataError, MetricError, MomeError
 from .experts import ExpertId
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .training import (
@@ -39,7 +40,6 @@ from .training import (
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
-EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
@@ -158,13 +158,19 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    """Train and stream ``metrics.csv``; the file (and ``--out``) is created
+    at the first record, so a run rejected before it writes nothing."""
     run = _build_run_config(args)
-    os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.csv")
-    with open(metrics_path, "w") as metrics:
-        metrics.write(METRICS_HEADER + "\n")
+    with contextlib.ExitStack() as stack:
+        metrics = None
 
         def emit(record):
+            nonlocal metrics
+            if metrics is None:
+                os.makedirs(args.out, exist_ok=True)
+                metrics = stack.enter_context(open(metrics_path, "w"))
+                metrics.write(METRICS_HEADER + "\n")
             line = format_metrics_record(record)
             metrics.write(line + "\n")
             print(line)
@@ -295,18 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, UsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, MetricError) as err:  # FormatError is a DataError
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except MomeError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -409,7 +409,6 @@ def synthesize_cohort(
     seed: int,
     out_dir,
     folds: int = 5,
-    group_sizes: tuple[int, ...] = DEFAULT_GROUP_SIZES,
 ) -> str:
     """Generate a synthetic multimodal cohort and return the manifest path.
 
@@ -424,7 +423,8 @@ def synthesize_cohort(
       it linearly (enforced by a generation-time self test).
 
     Event times are exponential with rate exp(risk); censoring uses an
-    independent exponential clock calibrated to the requested rate.
+    independent exponential clock calibrated to the requested rate. The
+    six genomic groups always have the lengths ``DEFAULT_GROUP_SIZES``.
     """
     if n_samples < 10:
         raise ConfigError(f"need at least 10 samples, got {n_samples}")
@@ -482,7 +482,7 @@ def synthesize_cohort(
             chosen = rng.choice(n_patches, size=n_informative, replace=False)
             patches[chosen] += PATCH_AMPLITUDE * carried * direction
         groups = []
-        for g, size in enumerate(group_sizes):
+        for g, size in enumerate(DEFAULT_GROUP_SIZES):
             values = GROUP_NOISE * rng.standard_normal(size)
             if signal in ("geno", "cross") and g in TARGET_GROUPS:
                 carried = risks[i] if signal == "geno" else q_factor[i]

@@ -1,14 +1,16 @@
 """Exception hierarchy shared by every mome module.
 
-The CLI maps these onto process exit codes: configuration and usage
-problems exit 2, data and file-format problems exit 3, numeric or
-tolerance failures exit 1. Numeric failures have no subclass per cause:
-a ``NumericError`` names the op whose result was not finite.
+Each class's ``exit_code`` is the CLI's exit status for it: 2 for config
+and usage errors, 1 for numeric failures and 3, the base class's, for the
+rest (data, file format, metric, shape). A ``NumericError`` names the op
+whose result was not finite; numeric failures have no subclass per cause.
 """
 
 
 class MomeError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class ShapeError(MomeError):
@@ -19,6 +21,8 @@ class ConfigError(MomeError):
     """A configuration value is out of range or unrecognized; ``field``
     names the rejected setting when the check is about one."""
 
+    exit_code = 2
+
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
@@ -27,9 +31,13 @@ class ConfigError(MomeError):
 class UsageError(MomeError):
     """An API was called in a way its contract forbids."""
 
+    exit_code = 2
+
 
 class NumericError(MomeError):
     """A forward computation produced NaN or Inf."""
+
+    exit_code = 1
 
 
 class DataError(MomeError):

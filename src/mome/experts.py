@@ -74,11 +74,6 @@ def parse_expert_spec(spec: str) -> tuple[bool, bool, bool, bool]:
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    bound = 1.0 / np.sqrt(shape[0])
-    return rng.uniform(-bound, bound, size=shape)
-
-
 @dataclass
 class GateParams(nc.ParameterSet):
     """Per-modality projections and the shared logit map of the gate."""
@@ -92,9 +87,9 @@ class GateParams(nc.ParameterSet):
     @classmethod
     def create(cls, d: int, rng: np.random.Generator) -> "GateParams":
         return cls(
-            w1=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
-            w2=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
-            w=Tensor(_fan_in_uniform(rng, (d, EXPERT_COUNT)), requires_grad=True),
+            w1=nc.fan_in_uniform(rng, (d, d)),
+            w2=nc.fan_in_uniform(rng, (d, d)),
+            w=nc.fan_in_uniform(rng, (d, EXPERT_COUNT)),
             gain1=Tensor(np.ones(d), requires_grad=True),
             gain2=Tensor(np.ones(d), requires_grad=True),
         )
@@ -120,9 +115,9 @@ class SnnParams(nc.ParameterSet):
     @classmethod
     def create(cls, d: int, rng: np.random.Generator, dropout_rate: float = 0.25) -> "SnnParams":
         return cls(
-            w1=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
+            w1=nc.fan_in_uniform(rng, (d, d)),
             b1=Tensor(np.zeros(d), requires_grad=True),
-            w2=Tensor(_fan_in_uniform(rng, (d, d)), requires_grad=True),
+            w2=nc.fan_in_uniform(rng, (d, d)),
             b2=Tensor(np.zeros(d), requires_grad=True),
             gain1=Tensor(np.ones(d), requires_grad=True),
             gain2=Tensor(np.ones(d), requires_grad=True),
@@ -312,21 +307,20 @@ def snnfusion(
     f1: Tensor,
     f2: Tensor,
     params: SnnParams,
-    training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """Self-normalizing fusion, one graph node: a per-token block on f1 plus
     the row mean of the same kind of block on f2.
 
-    A block is RMSNorm, an affine map, a unit-alpha ELU and, in training at
-    a nonzero rate, alpha dropout (Klambauer et al. 2017): dropped entries
-    saturate at ``ELU_SATURATION``, then an affine correction restores zero
-    mean and unit variance in expectation. Block 1 draws its mask from
-    ``rng`` before block 2; otherwise nothing is drawn and ``rng`` may be
-    None.
+    A block is RMSNorm, an affine map, a unit-alpha ELU and, given an
+    ``rng`` and a nonzero rate, alpha dropout (Klambauer et al. 2017):
+    dropped entries saturate at ``ELU_SATURATION``, then an affine
+    correction restores zero mean and unit variance in expectation. The
+    rng is the switch: block 1 draws its mask from it before block 2, and
+    with ``None`` (evaluation) nothing is drawn or dropped.
     """
     rate = params.dropout_rate
-    dropout = training and rate > 0.0
+    dropout = rng is not None and rate > 0.0
     q = 1.0 - rate
     scale = 1.0 / np.sqrt(q + ELU_SATURATION**2 * rate * q)
     shift = -scale * rate * ELU_SATURATION
@@ -380,7 +374,6 @@ def mome_forward(
     f1: Tensor,
     f2: Tensor,
     layer: MoMELayer,
-    training: bool = False,
     rng: np.random.Generator | None = None,
     key_chunk: int | None = None,
     routes: list[GateDecision] | None = None,
@@ -388,11 +381,9 @@ def mome_forward(
     """Route one sample through exactly one expert of this layer; when
     ``routes`` is a list, append the gate's decision to it.
 
-    Training needs ``rng`` whichever expert the gate picks, so the check
-    comes before the gate.
+    ``rng`` is the dropout switch of the SNN expert, as in
+    :func:`snnfusion`: a stream in training, ``None`` in evaluation.
     """
-    if training and rng is None:
-        raise ConfigError("mome_forward in training mode needs an rng stream")
     decision = gate(f1, f2, layer.gate, layer.enable_mask)
     expert = decision.expert
     layer.call_counts[expert] += 1
@@ -403,7 +394,7 @@ def mome_forward(
             f1, f2, layer.bottleneck, layer.btf_inner, layer.btf_outer, key_chunk
         )
     elif expert == ExpertId.SNNFUSION:
-        out = snnfusion(f1, f2, layer.snn, training, rng)
+        out = snnfusion(f1, f2, layer.snn, rng)
     else:
         out = dropf2fusion(f1, f2)
     if routes is not None:

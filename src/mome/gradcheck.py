@@ -36,9 +36,9 @@ DEFAULT_TOLERANCE = 1e-4
 _SEED_STRIDE, _SEED_OFFSET = 1000, 17
 
 
-def max_fd_error(build_loss, wiggle: list[Tensor], step: float = DEFAULT_STEP,
-                 fault: bool = False) -> float:
-    """Worst finite-difference deviation over every entry of ``wiggle``.
+def max_fd_error(build_loss, wiggle: list[Tensor], fault: bool = False) -> float:
+    """Worst central-difference deviation (step ``DEFAULT_STEP``) over every
+    entry of ``wiggle``.
 
     ``build_loss`` must rebuild the graph from the tensors' current data
     on every call (stochastic ops included, with fixed streams). With
@@ -61,12 +61,12 @@ def max_fd_error(build_loss, wiggle: list[Tensor], step: float = DEFAULT_STEP,
         aflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + DEFAULT_STEP
             hi = build_loss().item()
-            flat[i] = orig - step
+            flat[i] = orig - DEFAULT_STEP
             lo = build_loss().item()
             flat[i] = orig
-            numeric = (hi - lo) / (2 * step)
+            numeric = (hi - lo) / (2 * DEFAULT_STEP)
             denom = max(1.0, abs(aflat[i]), abs(numeric))
             worst = max(worst, abs(aflat[i] - numeric) / denom)
     return worst
@@ -210,7 +210,7 @@ def _check_snn(seed, fault=False):
     s = layer.snn
 
     def build():
-        out = snnfusion(f1, f2, s, training=True, rng=nc.rng_stream(seed + 7))
+        out = snnfusion(f1, f2, s, rng=nc.rng_stream(seed + 7))
         return _weighted_sum(out, w)
 
     wiggle = [f1, f2, s.w1, s.b1, s.w2, s.b2, s.gain1, s.gain2]
@@ -252,8 +252,7 @@ def _check_mome_layer(seed, fault=False):
     layer, f1, f2, w = _mome_layer_instance(seed)
 
     def build():
-        out = mome_forward(f1, f2, layer, training=True, rng=nc.rng_stream(seed + 5),
-                           key_chunk=2)
+        out = mome_forward(f1, f2, layer, rng=nc.rng_stream(seed + 5), key_chunk=2)
         return _weighted_sum(out, w)
 
     wiggle = [f1, f2, layer.gate.w1, layer.gate.w]

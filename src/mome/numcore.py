@@ -252,6 +252,12 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """A trainable weight drawn uniformly within ±1/sqrt(shape[0]) (fan-in)."""
+    bound = 1.0 / np.sqrt(shape[0])
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
 class ParameterSet:
     """Base of the dataclasses that hold trainable tensors.
 
@@ -272,8 +278,14 @@ class ParameterSet:
         return named
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Adam with bias correction (Kingma & Ba 2015), in place on ``params``.
+    """Adam with bias correction (Kingma & Ba 2015), in place on ``params``,
+    at the paper's constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``step`` reads each parameter's ``grad`` and skips those whose
     gradient is None. Weight decay is coupled: an L2 term added to the
@@ -282,15 +294,11 @@ class Adam:
     parameter's index before that parameter is written.
     """
 
-    def __init__(self, params: Sequence[Tensor], *, lr: float = 2e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-5):
+    def __init__(self, params: Sequence[Tensor], *, lr: float, weight_decay: float):
         if lr <= 0:
             raise ConfigError("Adam learning rate must be positive")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m: list[np.ndarray] = []
@@ -301,19 +309,19 @@ class Adam:
             self.m = [np.zeros_like(p.data) for p in self.params]
             self.v = [np.zeros_like(p.data) for p in self.params]
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for index, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
             g = p.grad
             if g is None:
                 continue
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if not np.isfinite(update).all():
                 raise NumericError(f"non-finite update produced by 'adam_step' for parameter {index}")
             p.data -= update

@@ -66,10 +66,6 @@ class RunConfig(ModelSettings):
     grad_accum: int = setting(1, "samples accumulated per optimizer step")
 
     def __post_init__(self):
-        # key_chunk None is dense attention (no key blocks); nothing else may be None.
-        for f in fields(self):
-            if f.name != "key_chunk" and getattr(self, f.name) is None:
-                raise ConfigError(f"{f.name} must be set, got None", f.name)
         super().__post_init__()
         for name in ("epochs", "key_chunk", "grad_accum"):
             value = getattr(self, name)
@@ -221,6 +217,12 @@ def train_fold(
     out_dir,
     emit=None,
 ) -> FoldResult:
+    """Train on the rows outside ``fold`` and checkpoint the best epoch on
+    ``fold``; a row with no fold (-1) is rejected before a model is built."""
+    unassigned = next((r.sample_id for r in cohort.rows if r.fold < 0), None)
+    if unassigned is not None:
+        raise DataError(f"sample '{unassigned}' has no fold: assign a fold to every "
+                        "manifest row, or to none and let train_cohort split them")
     train_idx = [i for i, r in enumerate(cohort.rows) if r.fold != fold]
     val_idx = [i for i, r in enumerate(cohort.rows) if r.fold == fold]
     if not train_idx or not val_idx:
@@ -296,16 +298,13 @@ def train_fold(
 def train_cohort(run: RunConfig, manifest_path, out_dir, emit=None) -> TrainSummary:
     """Train every fold present in the manifest and summarize. A manifest
     with no fold column assigned is split into ``run.folds`` folds; one
-    with some rows assigned and others not is rejected."""
+    with some rows assigned and others not is rejected by ``train_fold``
+    (fold -1 sorts first, so no fold trains)."""
     cohort = load_cohort(manifest_path, run.time_bins)
-    unassigned = [r.sample_id for r in cohort.rows if r.fold < 0]
-    if len(unassigned) == len(cohort.rows):
+    if all(r.fold < 0 for r in cohort.rows):
         assignment = kfold_split(cohort.rows, k=run.folds, seed=run.seed)
         for row, fold in zip(cohort.rows, assignment):
             row.fold = fold
-    elif unassigned:
-        raise DataError(f"sample '{unassigned[0]}' has no fold while others do: "
-                        "assign a fold to every manifest row or to none")
     folds = sorted({r.fold for r in cohort.rows})
 
     records: list[MetricsRecord] = []

@@ -88,7 +88,6 @@ class TestCriterion03HardRouting:
             model.forward(patches, groups, routes=routes)
             return [(layer, int(decision.expert)) for layer, decision in enumerate(routes)]
 
-        model.reset_call_counts()
         route_a = run(+1.0, +1.0)
         route_b = run(-1.0, -1.0)
         per_layer_counts = [sum(layer.call_counts) for layer in model.layers]

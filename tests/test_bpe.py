@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import struct
@@ -658,3 +659,9 @@ class TestConfigValidation:
     def test_unknown_first_encoded_rejected(self):
         with pytest.raises(ConfigError):
             small_config(first_encoded="both")
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig)])
+    def test_none_rejected_naming_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be set") as caught:
+            small_config(**{name: None})
+        assert caught.value.field == name

@@ -173,6 +173,7 @@ class TestTrainCommand:
         code = run_cli("train", "--manifest", str(tmp_path / "none.csv"),
                        "--out", str(tmp_path / "o"))
         assert code == 3
+        assert not (tmp_path / "o" / "metrics.csv").exists()  # rejected runs write nothing
 
     def test_partly_assigned_fold_column_is_data_error(self, cohort_dir, tmp_path, capsys):
         lines = (cohort_dir / "manifest.csv").read_text().splitlines()
@@ -188,8 +189,8 @@ class TestTrainCommand:
         assert code == 3
         sample = lines[4].split(",")[0]
         assert f"sample '{sample}' has no fold" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path / "o")) == ["metrics.csv"]  # no fold trained
-        assert (tmp_path / "o" / "metrics.csv").read_text().count("\n") == 1
+        assert not (tmp_path / "o" / "metrics.csv").exists()  # rejected runs write nothing
+        assert list((tmp_path / "o").glob("*.ckpt")) == []  # no fold trained
 
 
 @pytest.fixture

@@ -203,7 +203,7 @@ def dropout_free_block(x, w, b, gain):
     return np.where(pre > 0, pre, np.expm1(pre))
 
 
-def composed_snnfusion(f1, f2, params, training, rng):
+def composed_snnfusion(f1, f2, params, rng):
     """The SNN expert as one graph node per step (RMSNorm, affine, ELU,
     alpha dropout, row mean, broadcast add), each with its own backward:
     the reference the fused op must match bit for bit."""
@@ -230,7 +230,7 @@ def composed_snnfusion(f1, f2, params, training, rng):
         return nc.graph_op(np.where(x.data > 0, x.data, np.expm1(x.data)), (x,), backward, "elu")
 
     def alpha_dropout(x):
-        if not training or rate == 0.0:
+        if rng is None or rate == 0.0:
             return x
         keep = rng.random(x.shape) >= rate
         q = 1.0 - rate
@@ -264,14 +264,14 @@ class TestSnnFusion:
         rng = nc.rng_stream(26)
         f1 = nc.Tensor(rng.standard_normal((4, 6)))
         f2 = nc.Tensor(np.zeros((3, 6)))
-        out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
+        out = snnfusion(f1, f2, params, rng=None)
         own_only = dropout_free_block(f1, params.w1, params.b1, params.gain1)
         assert np.array_equal(out.data, own_only)
 
     def test_reference_is_a_single_broadcast_row(self):
         params = SnnParams.create(8, nc.rng_stream(27))
         f1, f2 = random_bags(d=8, n1=4, n2=6, seed=28)
-        out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
+        out = snnfusion(f1, f2, params, rng=None)
         assert out.shape == (4, 8)
         own = dropout_free_block(f1, params.w1, params.b1, params.gain1)
         diff = out.data - own
@@ -280,7 +280,7 @@ class TestSnnFusion:
     def test_eval_matches_dropout_free_reimplementation(self):
         params = SnnParams.create(8, nc.rng_stream(29))
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=30)
-        out = snnfusion(f1, f2, params, training=False, rng=nc.rng_stream(0))
+        out = snnfusion(f1, f2, params, rng=None)
         expected = dropout_free_block(f1, params.w1, params.b1, params.gain1) + \
             dropout_free_block(f2, params.w2, params.b2, params.gain2).mean(axis=0)
         assert np.max(np.abs(out.data - expected)) <= 1e-12
@@ -305,7 +305,7 @@ class TestSnnFusion:
         def run(expert):
             for _, t in named:
                 t.grad = None
-            out = expert(f1, f2, params, training, nc.rng_stream(7) if training else None)
+            out = expert(f1, f2, params, nc.rng_stream(7) if training else None)
             nc.reduce_sum(nc.mul(out, weights)).backward()
             return out, [out.data] + [t.grad for _, t in named]
 
@@ -371,17 +371,20 @@ class TestMoMEForward:
             raise AssertionError("evaluation built a random stream")
 
         monkeypatch.setattr(nc, "rng_stream", no_stream)
-        out = mome_forward(f1, f2, layer, training=False)
+        out = mome_forward(f1, f2, layer)
         assert layer.call_counts[ExpertId.SNNFUSION] == 1 and out.shape == f1.shape
 
     @pytest.mark.parametrize("mask", [(True, False, False, False), (False, False, True, False)],
                              ids=["tf", "snn"])
     def test_training_without_a_stream_rejected_whatever_the_route(self, mask):
-        layer = make_layer(seed=50, enable_mask=mask)
-        f1, f2 = random_bags(seed=51)
+        """The model's forward owns the check, before any layer runs."""
+        config = ModelConfig(d=8, d_in=8, group_sizes=(2,) * 6, seed=50, enable_mask=mask)
+        model = MoMEModel(config)
+        rng = nc.rng_stream(51)
+        groups = GenomicGroups(tuple(rng.standard_normal(2) for _ in range(6)))
         with pytest.raises(ConfigError, match="rng"):
-            mome_forward(f1, f2, layer, training=True, rng=None)
-        assert layer.call_counts == [0, 0, 0, 0]
+            model.forward(rng.standard_normal((4, 8)), groups, training=True, rng=None)
+        assert [layer.call_counts for layer in model.layers] == [[0, 0, 0, 0]] * 4
 
     def test_gate_weight_gradient_matches_finite_differences(self):
         layer = make_layer(d=6, seed=42, dropout_rate=0.0)
@@ -390,8 +393,7 @@ class TestMoMEForward:
         f2d = rng.standard_normal((2, 6))
 
         def loss_value():
-            out = mome_forward(nc.Tensor(f1d), nc.Tensor(f2d), layer, training=True,
-                               rng=nc.rng_stream(7))
+            out = mome_forward(nc.Tensor(f1d), nc.Tensor(f2d), layer, rng=nc.rng_stream(7))
             return nc.reduce_sum(nc.mul(out, out))
 
         loss_value().backward()
@@ -418,7 +420,7 @@ class TestMoMEForward:
             for mask in [(True, False, False, False), (False, True, False, False),
                          (False, False, True, False), (False, False, False, True)]:
                 forced = make_layer(d=8, seed=44, enable_mask=mask)
-                out = mome_forward(f1, f2, forced, training=False)
+                out = mome_forward(f1, f2, forced)
                 assert out.shape == (n1, 8)
 
     def test_routing_record_format(self):

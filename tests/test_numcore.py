@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mome.numcore as nc
+from mome.bpe import GenomicGroups, ModelConfig, MoMEModel
 from mome.errors import ConfigError, NumericError, ShapeError, UsageError
 from mome.experts import (
     ELU_SATURATION,
@@ -128,18 +129,18 @@ class TestActivations:
 
     def test_zero_points(self):
         params, f1, f2 = _bias_only_snn([0.0])
-        assert snnfusion(f1, f2, params, training=False, rng=None).item() == 0.0
+        assert snnfusion(f1, f2, params, rng=None).item() == 0.0
 
     def test_elu_saturation(self):
         params, f1, f2 = _bias_only_snn([-20.0])
-        val = snnfusion(f1, f2, params, training=False, rng=None).item()
+        val = snnfusion(f1, f2, params, rng=None).item()
         assert -1.0 < val <= -0.999999
 
     @pytest.mark.parametrize("kind", ["elu"])
     def test_gradient(self, kind):
         rng = nc.rng_stream(8)
         params, f1, f2 = _bias_only_snn(rng.standard_normal(5), rows=2)
-        nc.reduce_sum(snnfusion(f1, f2, params, training=False, rng=None)).backward()
+        nc.reduce_sum(snnfusion(f1, f2, params, rng=None)).backward()
         forward = {"elu": lambda a: np.where(a > 0, a, np.expm1(a))}[kind]
 
         def f():
@@ -152,18 +153,27 @@ class TestAlphaDropout:
     """The alpha dropout inside the SNN expert."""
 
     def test_eval_mode_identity(self):
+        """An evaluation forward handed a stream drops nothing and draws
+        nothing: the model passes its SNN experts no rng."""
+        config = ModelConfig(d=6, d_in=6, group_sizes=(2,) * 6, seed=1, dropout_rate=0.5,
+                             enable_mask=(False, False, True, False))
+        model = MoMEModel(config)
+        data = nc.rng_stream(2)
+        bag = data.standard_normal((3, 6))
+        groups = GenomicGroups(tuple(data.standard_normal(2) for _ in range(6)))
         rng = nc.rng_stream(0)
-        params, f1, f2 = _bias_only_snn(np.arange(-3.0, 3.0), rows=2, rate=0.5)
-        out = snnfusion(f1, f2, params, training=False, rng=rng)
-        params.dropout_rate = 0.0
-        assert np.array_equal(out.data, snnfusion(f1, f2, params, False, None).data)
+        out = model.forward(bag, groups, training=False, rng=rng)
+        assert [layer.call_counts[2] for layer in model.layers] == [1] * 4
+        for layer in model.layers:
+            layer.snn.dropout_rate = 0.0
+        assert np.array_equal(out.data, model.forward(bag, groups).data)
         assert rng.random() == nc.rng_stream(0).random()
 
     def test_zero_rate_identity(self):
         rng = nc.rng_stream(0)
         params, f1, f2 = _bias_only_snn(np.arange(-3.0, 3.0), rows=2)
-        out = snnfusion(f1, f2, params, training=True, rng=rng)
-        assert np.array_equal(out.data, snnfusion(f1, f2, params, False, None).data)
+        out = snnfusion(f1, f2, params, rng=rng)
+        assert np.array_equal(out.data, snnfusion(f1, f2, params, None).data)
         assert rng.random() == nc.rng_stream(0).random()
 
     def test_rate_one_rejected(self):
@@ -177,13 +187,13 @@ class TestAlphaDropout:
         # rows its dropped-out mean, the reference row, is close to 0.
         params, f1, f2 = _bias_only_snn([np.log(0.5)] * 4 + [2.0], rows=100_000,
                                         rate=0.25)
-        out = snnfusion(f1, f2, params, training=True, rng=nc.rng_stream(99))
+        out = snnfusion(f1, f2, params, rng=nc.rng_stream(99))
         assert abs(out.data.mean()) <= 0.01
         assert abs(out.data.var() - 1.0) <= 0.02
 
     def test_gradient_masks_dropped_entries(self):
         params, f1, f2 = _bias_only_snn(np.full(16, 0.5), rate=0.5)
-        nc.reduce_sum(snnfusion(f1, f2, params, training=True, rng=nc.rng_stream(42))).backward()
+        nc.reduce_sum(snnfusion(f1, f2, params, rng=nc.rng_stream(42))).backward()
         keep = nc.rng_stream(42).random((1, 16))[0] >= 0.5
         assert keep.any() and not keep.all()
         q, sat = 0.5, ELU_SATURATION
@@ -255,7 +265,7 @@ class TestBackward:
             x = nc.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
             w = nc.Tensor(rng.standard_normal((6, 6)), requires_grad=True)
             params = SnnParams.create(6, nc.rng_stream(78), dropout_rate=0.3)
-            out = snnfusion(nc.matmul(x, w), x, params, training=True, rng=nc.rng_stream(5))
+            out = snnfusion(nc.matmul(x, w), x, params, rng=nc.rng_stream(5))
             loss = nc.reduce_sum(out)
             loss.backward()
             return loss.item(), x.grad.copy(), w.grad.copy()

@@ -111,3 +111,19 @@ def test_model_modules_take_no_sample_bookkeeping(module):
             names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
             found += [f"{getattr(node, 'name', 'lambda')}({name})" for name in names & banned]
     assert sorted(found) == []
+
+
+def test_experts_take_no_training_flag():
+    """An expert's dropout switch is its ``rng`` (``None`` draws nothing);
+    only ``MoMEModel.forward`` takes ``training`` and checks it against the
+    stream, so no function of the expert module repeats the flag."""
+    with open(os.path.join(ROOT, "src", "mome", "experts.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            if "training" in names:
+                found.append(getattr(node, "name", "lambda"))
+    assert found == []

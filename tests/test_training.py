@@ -73,6 +73,22 @@ class TestTrainFold:
         with pytest.raises(DataError):
             train_fold(RunConfig(**SMALL_RUN), cohort, fold=9, out_dir=tmp_path)
 
+    def test_unassigned_row_rejected_before_any_model(self, small_manifest, tmp_path,
+                                                      monkeypatch):
+        """A row with fold -1 would train in every fold and be evaluated in
+        none, so the fold loop itself rejects it, naming the first one."""
+        cohort = load_cohort(small_manifest, time_bins=3)
+        for i in (5, 2):
+            cohort.rows[i].fold = -1
+
+        def no_model(config):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr(training, "MoMEModel", no_model)
+        with pytest.raises(DataError, match=f"sample '{cohort.rows[2].sample_id}' has no fold"):
+            train_fold(RunConfig(**SMALL_RUN), cohort, fold=0, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainCohort:
     def test_summary_shape(self, small_manifest, tmp_path):
