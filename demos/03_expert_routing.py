@@ -23,7 +23,8 @@ from mome.experts import (
 )
 
 rng = nc.rng_stream(3)
-layer = MoMELayer.create(8, nc.rng_stream(4), n_bottleneck=2)
+layer = MoMELayer.create(8, nc.rng_stream(4), n_bottleneck=2, head_count=1,
+                         enable_mask=(True, True, True, True), dropout_rate=0.25)
 
 f1 = nc.Tensor(rng.standard_normal((5, 8)))  # encoded modality
 f2 = nc.Tensor(rng.standard_normal((3, 8)))  # reference modality
@@ -41,7 +42,7 @@ print("transfusion is self_attention([f1, f2]):", np.array_equal(
     transfusion(f1, f2, layer.tf).data, self_attention([f1, f2], layer.tf).data))
 
 # The gate scores all four slots from both bags.
-decision = gate(f1, f2, layer.gate)
+decision = gate(f1, f2, layer.gate, layer.enable_mask)
 print("\ngate logits:", np.round(decision.logits.data[0], 4))
 print("chosen:", ExpertId(decision.expert).name,
       "with probability", round(decision.probability.item(), 4))

@@ -43,23 +43,16 @@ QUERY_TILE = 256
 
 @dataclass
 class AttentionParams(nc.ParameterSet):
-    """Square query/key/value projections, optionally split into heads."""
+    """Square query/key/value projections, optionally split into heads; in
+    a model, filled from a validated ``ModelConfig``. Checks nothing:
+    ``create`` builds the shapes and the output projection, and
+    :func:`scaled_dot_attention` rejects indivisible heads."""
 
     query: Tensor
     key: Tensor
     value: Tensor
     head_count: int = 1
     out_proj: Tensor | None = None
-
-    def __post_init__(self):
-        d = self.query.shape[0]
-        for name, t in (("query", self.query), ("key", self.key), ("value", self.value)):
-            if t.shape != (d, d):
-                raise ShapeError(f"{name} projection must be {d}x{d}, got {t.shape}")
-        if self.head_count < 1 or d % self.head_count:
-            raise ConfigError(f"width {d} is not divisible into {self.head_count} heads")
-        if self.head_count > 1 and self.out_proj is None:
-            raise ConfigError("multi-head attention requires an output projection")
 
     @property
     def width(self) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 from . import numcore as nc
 from .attention import AttentionParams, self_attention
 from .errors import ConfigError, DataError, FormatError
-from .experts import GateDecision, MoMELayer, mome_forward, parse_expert_spec
+from .experts import EXPERT_COUNT, GateDecision, MoMELayer, mome_forward, parse_expert_spec
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"MOMEMODL"
@@ -89,7 +89,8 @@ def setting(default, help: str, **cli):
 class ModelSettings:
     """The model fields a user sets; ``ModelConfig`` and the training
     ``RunConfig`` both extend it, and the ``train`` flags and config-file
-    keys are generated from the field metadata."""
+    keys are generated from the field metadata. A setting's default and
+    range rule live here (or in ``RunConfig``) alone."""
 
     d: int = setting(64, "shared embedding width", flag="--dim")
     rounds: int = setting(2, "alternating encoding rounds")
@@ -127,6 +128,9 @@ class ModelSettings:
         if self.first_encoded not in FIRST_ENCODED_CHOICES:
             raise ConfigError(f"first_encoded must be one of {FIRST_ENCODED_CHOICES}",
                               "first_encoded")
+        if len(self.enable_mask) != EXPERT_COUNT:
+            raise ConfigError(f"enable_mask needs {EXPERT_COUNT} flags, one per expert, got "
+                              f"{len(self.enable_mask)}", "enable_mask")
         if not any(self.enable_mask):
             raise ConfigError("at least one expert must be enabled", "enable_mask")
         if not 0.0 <= self.dropout_rate < 1.0:

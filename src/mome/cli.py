@@ -2,14 +2,17 @@
 
 Configuration precedence is flags over config file over defaults. The
 ``train`` flags and the config-file keys are both generated from the
-``RunConfig`` fields. The config file is plain ``key=value`` lines
+``RunConfig`` fields, and so is the ``--key-chunk`` flag of ``eval`` and
+``route-stats``, which ``RunConfig`` checks before the checkpoint is read.
+The config file is plain ``key=value`` lines
 (``#`` comments allowed); a key is a field name or its flag name with
 underscores, and an unknown key or a bad value is a configuration error.
 The environment variable ``MOME_SEED`` is the seed fallback when neither
 a flag nor the config file sets one.
 
 Exit codes: 0 success, 1 a failed gradient check; an error exits with its
-class's ``exit_code`` (see :mod:`mome.errors`), an ``OSError`` with 3.
+class's ``exit_code`` (see :mod:`mome.errors`), an ``OSError`` with the
+base class's.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .training import (
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
-EXIT_DATA = 3
 
 
 _TRAIN_FIELDS = fields(RunConfig)
@@ -62,25 +64,21 @@ def _resolve_seed(seed: int | None) -> int:
         raise ConfigError(f"MOME_SEED must be an integer, got '{raw}'")
 
 
-def _positive_int(text: str) -> int:
-    """``type=`` of the ``--key-chunk`` flags that are not generated from RunConfig."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _add_train_options(parser: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field, built from the field metadata."""
+def _add_run_options(parser: argparse.ArgumentParser, names=None) -> None:
+    """One flag per RunConfig field (those in ``names``, if given), built
+    from the field metadata."""
     for f in _TRAIN_FIELDS:
+        if names is not None and f.name not in names:
+            continue
         shown = f.metadata.get("shown", f.default)
         parser.add_argument(_flag(f), dest=f.name, type=f.metadata.get("parse", _TYPES[f.name]),
                             choices=f.metadata.get("choices"), default=argparse.SUPPRESS,
                             help=f"{f.metadata['help']} (default: {shown})")
-    parser.add_argument("--config", help="key=value config file (flags override it)")
+
+
+def _flag_values(args: argparse.Namespace) -> dict[str, object]:
+    """The RunConfig fields set by a flag."""
+    return {f.name: getattr(args, f.name) for f in _TRAIN_FIELDS if f.name in args}
 
 
 def _config_value(f: Field, text: str):
@@ -132,7 +130,7 @@ def _read_config_file(path: str) -> dict[str, object]:
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < config file < explicit flags into a RunConfig."""
     values = _read_config_file(args.config) if args.config else {}
-    values.update((f.name, getattr(args, f.name)) for f in _TRAIN_FIELDS if f.name in args)
+    values.update(_flag_values(args))
     values["seed"] = _resolve_seed(values.get("seed"))
     return RunConfig(**values)
 
@@ -187,6 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    key_chunk = RunConfig(**_flag_values(args)).key_chunk
     model = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.manifest, model.config.time_bins)
     if args.fold is not None:
@@ -195,7 +194,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError(f"manifest has no rows in fold {args.fold}")
     else:
         indices = list(range(len(cohort.rows)))
-    loss, score, _ = evaluate(model, cohort, indices, key_chunk=args.key_chunk)
+    loss, score, _ = evaluate(model, cohort, indices, key_chunk=key_chunk)
     print(f"samples={len(indices)} loss={loss:.6f} c_index={score:.6f}")
     return EXIT_OK
 
@@ -218,9 +217,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_route_stats(args: argparse.Namespace) -> int:
+    key_chunk = RunConfig(**_flag_values(args)).key_chunk
     model = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.manifest, model.config.time_bins)
-    stats = routing_statistics(model, cohort, key_chunk=args.key_chunk)
+    stats = routing_statistics(model, cohort, key_chunk=key_chunk)
     n = len(cohort.rows)
     names = [e.name.lower() for e in ExpertId]
     print("layer," + ",".join(names))
@@ -266,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="cross-validated training with metrics stream")
     train.add_argument("--manifest", required=True, help="cohort manifest path")
     train.add_argument("--out", required=True, help="directory for checkpoints and metrics")
-    _add_train_options(train)
+    _add_run_options(train)
+    train.add_argument("--config", help="key=value config file (flags override it)")
     train.set_defaults(func=cmd_train)
 
     evl = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     evl.add_argument("--checkpoint", required=True)
     evl.add_argument("--manifest", required=True)
     evl.add_argument("--fold", type=int, default=None, help="restrict to one fold")
-    evl.add_argument("--key-chunk", type=_positive_int, default=RunConfig().key_chunk,
-                     help=f"attention key-block size (default: {RunConfig().key_chunk})")
+    _add_run_options(evl, ["key_chunk"])
     evl.set_defaults(func=cmd_eval)
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
@@ -289,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     route = sub.add_parser("route-stats", help="expert routing histogram for a checkpoint")
     route.add_argument("--checkpoint", required=True)
     route.add_argument("--manifest", required=True)
-    route.add_argument("--key-chunk", type=_positive_int, default=RunConfig().key_chunk,
-                       help=f"attention key-block size (default: {RunConfig().key_chunk})")
+    _add_run_options(route, ["key_chunk"])
     route.add_argument("--log-out", default=None, help="also write the full routing log CSV")
     route.set_defaults(func=cmd_route_stats)
     return parser
@@ -306,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return MomeError.exit_code
 
 
 if __name__ == "__main__":

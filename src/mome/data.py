@@ -316,7 +316,7 @@ def discretize_times(rows: list[ManifestRow], n_bins: int) -> tuple[np.ndarray, 
     return edges, bins
 
 
-def kfold_split(rows: list[ManifestRow], k: int = 5, seed: int = 0) -> list[int]:
+def kfold_split(rows: list[ManifestRow], k: int, seed: int) -> list[int]:
     """Deterministic censorship-stratified partition into k folds.
 
     Both strata are shuffled and dealt round-robin with a shared running

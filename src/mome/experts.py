@@ -22,6 +22,9 @@ The attention experts hand their query bag and key bags to
 A layer knows nothing of the sample it routes: :func:`mome_forward`
 hands its :class:`GateDecision` back through ``routes``, and the caller
 that knows the sample (``training.evaluate``) turns it into a record.
+
+The parameter sets are plain holders that ``bpe.MoMEModel`` fills from a
+validated ``ModelConfig``: they copy no setting's default and check nothing.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class GateParams(nc.ParameterSet):
 
 @dataclass
 class SnnParams(nc.ParameterSet):
-    """Two self-normalizing blocks plus their input normalizer gains."""
+    """Two self-normalizing blocks, their input normalizer gains and the
+    alpha-dropout rate; filled from a validated ``ModelConfig``, checks nothing."""
 
     w1: Tensor
     b1: Tensor
@@ -105,15 +109,10 @@ class SnnParams(nc.ParameterSet):
     b2: Tensor
     gain1: Tensor
     gain2: Tensor
-    dropout_rate: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}",
-                              "dropout_rate")
+    dropout_rate: float
 
     @classmethod
-    def create(cls, d: int, rng: np.random.Generator, dropout_rate: float = 0.25) -> "SnnParams":
+    def create(cls, d: int, rng: np.random.Generator, dropout_rate: float) -> "SnnParams":
         return cls(
             w1=nc.fan_in_uniform(rng, (d, d)),
             b1=Tensor(np.zeros(d), requires_grad=True),
@@ -127,7 +126,8 @@ class SnnParams(nc.ParameterSet):
 
 @dataclass
 class MoMELayer(nc.ParameterSet):
-    """Gate plus the parameter sets of all four experts for one stage."""
+    """Gate, the four experts' parameter sets and the enable mask of one
+    stage; filled from a validated ``ModelConfig``, checks nothing."""
 
     gate: GateParams
     tf: AttentionParams
@@ -135,26 +135,18 @@ class MoMELayer(nc.ParameterSet):
     btf_outer: AttentionParams
     bottleneck: Tensor
     snn: SnnParams
-    enable_mask: tuple[bool, bool, bool, bool] = (True, True, True, True)
+    enable_mask: tuple[bool, bool, bool, bool]
     call_counts: list[int] = field(default_factory=lambda: [0] * EXPERT_COUNT)
-
-    def __post_init__(self):
-        if len(self.enable_mask) != EXPERT_COUNT:
-            raise ConfigError("enable_mask must have one flag per expert")
-        if not any(self.enable_mask):
-            raise ConfigError("at least one expert must be enabled")
-        if self.bottleneck.shape[0] < 1:
-            raise ConfigError("bottleneck needs at least one token")
 
     @classmethod
     def create(
         cls,
         d: int,
         rng: np.random.Generator,
-        n_bottleneck: int = 2,
-        head_count: int = 1,
-        enable_mask: tuple[bool, ...] = (True, True, True, True),
-        dropout_rate: float = 0.25,
+        n_bottleneck: int,
+        head_count: int,
+        enable_mask: tuple[bool, bool, bool, bool],
+        dropout_rate: float,
     ) -> "MoMELayer":
         return cls(
             gate=GateParams.create(d, rng),
@@ -163,7 +155,7 @@ class MoMELayer(nc.ParameterSet):
             btf_outer=AttentionParams.create(d, rng, head_count),
             bottleneck=Tensor(0.02 * rng.standard_normal((n_bottleneck, d)), requires_grad=True),
             snn=SnnParams.create(d, rng, dropout_rate),
-            enable_mask=tuple(bool(b) for b in enable_mask),
+            enable_mask=enable_mask,
         )
 
 
@@ -178,7 +170,7 @@ def gate(
     f1: Tensor,
     f2: Tensor,
     params: GateParams,
-    enable_mask: tuple[bool, ...] = (True, True, True, True),
+    enable_mask: tuple[bool, bool, bool, bool],
 ) -> GateDecision:
     """Score the expert pool from both bags and pick the top slot.
 
@@ -186,7 +178,8 @@ def gate(
     mean-pooled over tokens; both pooled vectors are mapped to the four
     logits and summed. Disabled slots are excluded from both the argmax
     and the probability normalization. Ties break to the lowest enabled
-    slot.
+    slot. ``enable_mask`` has one flag per expert; a mask with none set is
+    a ``ConfigError`` here too, for direct calls.
     """
     if f1.shape[0] < 1 or f2.shape[0] < 1:
         raise DataError("gate needs nonempty bags for both modalities")

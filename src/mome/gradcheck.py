@@ -163,9 +163,11 @@ def _check_attention_co(seed, fault=False):
                         _rotate(wiggle, seed), fault=fault)
 
 
-def _expert_instance(seed, d=6, **layer_options):
+def _expert_instance(seed, head_count=1, enable_mask=(True,) * EXPERT_COUNT):
+    d = 6
     rng = nc.rng_stream(seed)
-    layer = MoMELayer.create(d, rng, n_bottleneck=2, dropout_rate=0.3, **layer_options)
+    layer = MoMELayer.create(d, rng, n_bottleneck=2, head_count=head_count,
+                             enable_mask=enable_mask, dropout_rate=0.3)
     f1 = Tensor(rng.standard_normal((3, d)), requires_grad=True)
     f2 = Tensor(rng.standard_normal((2, d)), requires_grad=True)
     w = rng.standard_normal((3, d))
@@ -178,7 +180,7 @@ def _check_gate(seed, fault=False):
     logit_w = nc.rng_stream(seed + 1).standard_normal((1, 4))
 
     def build():
-        decision = gate(f1, f2, params)
+        decision = gate(f1, f2, params, layer.enable_mask)
         return nc.add(_weighted_sum(decision.logits, logit_w), decision.probability)
 
     wiggle = [f1, f2, params.w1, params.w2, params.w, params.gain1, params.gain2]

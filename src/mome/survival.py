@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import numcore as nc
-from .errors import DataError, MetricError, NumericError
+from .errors import DataError, MetricError
 from .numcore import Tensor
 
 
@@ -54,12 +54,11 @@ class HazardCurve:
 
 
 def hazards_from_logits(logits: Tensor) -> HazardCurve:
-    """Map T logits to a hazard curve; :func:`nll_loss` differentiates through it."""
+    """Map T logits to a hazard curve; :func:`nll_loss` differentiates through it.
+    The logits are finite: a ``Tensor`` checks its data when it is made."""
     if logits.size < 2:
         raise DataError(f"need at least 2 time bins, got {logits.size}")
     z = logits.data.reshape(-1)
-    if not np.isfinite(z).all():
-        raise NumericError("hazard logits contain non-finite values")
     survival = np.exp(-np.cumsum(np.logaddexp(0.0, z)))
     return HazardCurve(logits=logits, hazard_values=special.expit(z), survival_values=survival)
 

@@ -640,10 +640,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(head_count=0)
 
-    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("rate", [-0.25, -0.1, 1.0, 1.5, float("nan")])
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ConfigError, match="dropout_rate"):
             small_config(dropout_rate=rate)
+
+    @pytest.mark.parametrize("mask", [(True,), (True, False, True, True, False)])
+    def test_mask_without_one_flag_per_expert_rejected(self, mask):
+        with pytest.raises(ConfigError, match="enable_mask") as caught:
+            small_config(enable_mask=mask)
+        assert caught.value.field == "enable_mask"
 
     def test_single_time_bin_rejected(self):
         with pytest.raises(ConfigError):

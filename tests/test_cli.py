@@ -418,13 +418,24 @@ class TestOutOfRangeSettings:
 
     @pytest.mark.parametrize("command", ["eval", "route-stats"])
     @pytest.mark.parametrize("value", ["0", "-8", "many"])
-    def test_key_chunk_of_eval_and_route_stats(self, cohort_dir, trained, cohort_never_read,
+    def test_key_chunk_of_eval_and_route_stats(self, cohort_dir, cohort_never_read, monkeypatch,
                                                capsys, command, value):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(command, "--checkpoint", str(trained / "fold0.ckpt"),
-                    "--manifest", str(cohort_dir / "manifest.csv"), "--key-chunk", value)
-        assert exc.value.code == 2
-        assert "--key-chunk" in capsys.readouterr().err
+        """``RunConfig`` rejects an out-of-range value before the checkpoint
+        is read; a value that is not an integer is an argparse usage error."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        argv = (command, "--checkpoint", str(cohort_dir / "fold0.ckpt"),
+                "--manifest", str(cohort_dir / "manifest.csv"), "--key-chunk", value)
+        if value == "many":
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+            assert "--key-chunk" in capsys.readouterr().err
+        else:
+            assert run_cli(*argv) == 2
+            assert "key_chunk" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -26,9 +26,12 @@ from mome.training import CohortData, evaluate, format_routing_record
 from test_attention import kernel_query_rows, rows_of
 
 
-def make_layer(d=8, seed=0, n_b=2, enable_mask=(True, True, True, True), dropout_rate=0.25):
+ALL_EXPERTS = (True, True, True, True)
+
+
+def make_layer(d=8, seed=0, n_b=2, enable_mask=ALL_EXPERTS, dropout_rate=0.25):
     return MoMELayer.create(
-        d, nc.rng_stream(seed), n_bottleneck=n_b, enable_mask=enable_mask,
+        d, nc.rng_stream(seed), n_bottleneck=n_b, head_count=1, enable_mask=enable_mask,
         dropout_rate=dropout_rate,
     )
 
@@ -75,7 +78,7 @@ class TestGate:
         f1, f2 = random_bags(seed=4)
         params = GateParams.create(8, nc.rng_stream(5))
         params.w.data[:, 2] = 0.0
-        if gate(f1, f2, params).logits.data[0, 1] < 0.0:
+        if gate(f1, f2, params, ALL_EXPERTS).logits.data[0, 1] < 0.0:
             params.w.data[:, 1] *= -1.0
         params.w.data[:, 3] = params.w.data[:, 1]
         mask = (False, True, True, True)
@@ -98,7 +101,7 @@ class TestGate:
         params = GateParams.create(8, nc.rng_stream(3))
         for t in (params.w1, params.w2, params.w):
             t.data[:] = 0.0
-        decision = gate(f1, f2, params)
+        decision = gate(f1, f2, params, ALL_EXPERTS)
         assert np.array_equal(decision.logits.data, np.zeros((1, 4)))
         assert decision.expert == ExpertId.TRANSFUSION
 
@@ -118,14 +121,14 @@ class TestGate:
     def test_constant_logit_shift_preserves_choice(self):
         f1, f2 = random_bags(seed=10)
         params = GateParams.create(8, nc.rng_stream(11))
-        base = gate(f1, f2, params)
+        base = gate(f1, f2, params, ALL_EXPERTS)
         shifted = np.where([True] * 4, base.logits.data[0] + 5.0, -np.inf)
         assert int(np.argmax(shifted)) == base.expert
 
     def test_empty_bag_rejected(self):
         params = GateParams.create(4, nc.rng_stream(12))
         with pytest.raises(DataError):
-            gate(nc.Tensor(np.zeros((0, 4))), nc.Tensor(np.ones((2, 4))), params)
+            gate(nc.Tensor(np.zeros((0, 4))), nc.Tensor(np.ones((2, 4))), params, ALL_EXPERTS)
 
 
 class TestTransfusion:
@@ -260,7 +263,7 @@ def composed_snnfusion(f1, f2, params, rng):
 
 class TestSnnFusion:
     def test_zero_reference_contributes_nothing(self):
-        params = SnnParams.create(6, nc.rng_stream(25))
+        params = SnnParams.create(6, nc.rng_stream(25), dropout_rate=0.25)
         rng = nc.rng_stream(26)
         f1 = nc.Tensor(rng.standard_normal((4, 6)))
         f2 = nc.Tensor(np.zeros((3, 6)))
@@ -269,7 +272,7 @@ class TestSnnFusion:
         assert np.array_equal(out.data, own_only)
 
     def test_reference_is_a_single_broadcast_row(self):
-        params = SnnParams.create(8, nc.rng_stream(27))
+        params = SnnParams.create(8, nc.rng_stream(27), dropout_rate=0.25)
         f1, f2 = random_bags(d=8, n1=4, n2=6, seed=28)
         out = snnfusion(f1, f2, params, rng=None)
         assert out.shape == (4, 8)
@@ -278,7 +281,7 @@ class TestSnnFusion:
         assert np.max(np.abs(diff - diff[0])) <= 1e-14
 
     def test_eval_matches_dropout_free_reimplementation(self):
-        params = SnnParams.create(8, nc.rng_stream(29))
+        params = SnnParams.create(8, nc.rng_stream(29), dropout_rate=0.25)
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=30)
         out = snnfusion(f1, f2, params, rng=None)
         expected = dropout_free_block(f1, params.w1, params.b1, params.gain1) + \

@@ -5,7 +5,7 @@ import pytest
 
 import mome.numcore as nc
 from mome.bpe import GenomicGroups, ModelConfig, MoMEModel
-from mome.errors import ConfigError, NumericError, ShapeError, UsageError
+from mome.errors import NumericError, ShapeError, UsageError
 from mome.experts import (
     ELU_SATURATION,
     RMSNORM_EPS,
@@ -175,11 +175,6 @@ class TestAlphaDropout:
         out = snnfusion(f1, f2, params, rng=rng)
         assert np.array_equal(out.data, snnfusion(f1, f2, params, None).data)
         assert rng.random() == nc.rng_stream(0).random()
-
-    def test_rate_one_rejected(self):
-        for rate in (1.0, -0.25):
-            with pytest.raises(ConfigError, match="dropout"):
-                SnnParams.create(2, nc.rng_stream(0), dropout_rate=rate)
 
     def test_monte_carlo_moments(self):
         # Block 1's activations are -0.5 in four columns and 2 in the fifth:

@@ -127,3 +127,45 @@ def test_experts_take_no_training_flag():
             if "training" in names:
                 found.append(getattr(node, "name", "lambda"))
     assert found == []
+
+
+def _module_tree(module: str) -> ast.Module:
+    with open(os.path.join(ROOT, "src", "mome", module)) as fh:
+        return ast.parse(fh.read())
+
+
+def test_expert_parameter_sets_copy_no_setting_default():
+    """A model setting's default lives in ``ModelSettings`` alone: no
+    function parameter or dataclass field of ``experts`` named after one has
+    a default, so ``MoMEModel`` must hand every value down."""
+    settings = {"n_bottleneck", "head_count", "enable_mask", "dropout_rate"}
+    found = []
+    for node in ast.walk(_module_tree("experts.py")):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{getattr(node, 'name', 'lambda')}({a.arg})" for a in defaulted
+                      if a.arg in settings]
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id in settings and stmt.value is not None]
+    assert found == []
+
+
+@pytest.mark.parametrize("module, holders", [
+    ("experts.py", {"SnnParams", "MoMELayer"}), ("attention.py", {"AttentionParams"}),
+])
+def test_parameter_sets_check_nothing(module, holders):
+    """A setting's range rule lives in ``ModelSettings`` / ``RunConfig``
+    alone: the parameter sets the model fills from a validated config
+    define no ``__post_init__``."""
+    classes = {node.name: node for node in _module_tree(module).body
+               if isinstance(node, ast.ClassDef) and node.name in holders}
+    assert set(classes) == holders
+    found = [name for name, node in classes.items()
+             if any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                    for stmt in node.body)]
+    assert found == []

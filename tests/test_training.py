@@ -194,6 +194,12 @@ class TestRunConfigRanges:
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("mask", [(True,), (True, False, True, True, False)])
+    def test_mask_without_one_flag_per_expert_rejected(self, mask):
+        with pytest.raises(ConfigError, match="enable_mask") as caught:
+            RunConfig(enable_mask=mask)
+        assert caught.value.field == "enable_mask"
+
     def test_dense_attention_key_chunk_allowed(self):
         assert RunConfig(key_chunk=None).key_chunk is None
 
