@@ -14,14 +14,15 @@ Subpackages:
 * :mod:`mome.experts` - the gate and the four fusion experts,
 * :mod:`mome.bpe` - the full model and its checkpoint format,
 * :mod:`mome.survival` - hazards, censored likelihood, C-index,
-* :mod:`mome.data` - file formats, folds, synthetic cohorts,
+* :mod:`mome.data` - file formats, genomic groups, folds, synthetic cohorts,
 * :mod:`mome.training` - cross-validated training harness, routing records,
 * :mod:`mome.gradcheck` - finite-difference verification suite,
 * :mod:`mome.cli` - the ``mome`` command-line tool.
 """
 
 from .attention import AttentionParams, co_attention, self_attention, verify_ca_embedding
-from .bpe import GenomicGroups, ModelConfig, MoMEModel, load_checkpoint, save_checkpoint
+from .bpe import ModelConfig, MoMEModel, load_checkpoint, save_checkpoint
+from .data import GenomicGroups
 from .experts import ExpertId, MoMELayer, mome_forward
 from .numcore import Adam, Tensor, no_grad, rng_stream
 from .survival import HazardCurve, SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score

@@ -26,7 +26,8 @@ the loader reads them in that order. It reports a FormatError at the byte
 offset of every fault: a bad magic or version, any short read, a bad flag
 byte, a config value ``ModelConfig`` rejects (at that value's field), a
 misnamed record or wrong extents (at the record's start), a non-finite
-payload value and trailing bytes.
+payload value and trailing bytes. Those short-read and finite checks, the
+group names and ``GenomicGroups`` are :mod:`mome.data`'s.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import AttentionParams, self_attention
+from .data import GROUP_NAMES, N_GROUPS, GenomicGroups, check_finite, take_bytes
 from .errors import ConfigError, DataError, FormatError
 from .experts import EXPERT_COUNT, GateDecision, MoMELayer, mome_forward, parse_expert_spec
 from .numcore import Tensor
@@ -45,33 +47,7 @@ from .numcore import Tensor
 CHECKPOINT_MAGIC = b"MOMEMODL"
 CHECKPOINT_VERSION = 1
 
-GROUP_NAMES = (
-    "tumor_suppression",
-    "oncogenesis",
-    "protein_kinases",
-    "cellular_differentiation",
-    "transcription",
-    "cytokines_growth",
-)
-N_GROUPS = len(GROUP_NAMES)
-
 FIRST_ENCODED_CHOICES = ("pathology", "genomics")
-
-
-@dataclass
-class GenomicGroups:
-    """Six fixed-order raw-value vectors, one per genomic functional group."""
-
-    values: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.values) != N_GROUPS:
-            raise DataError(f"expected {N_GROUPS} genomic groups, got {len(self.values)}")
-        self.values = tuple(np.asarray(v, dtype=np.float64).reshape(-1) for v in self.values)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.values)
 
 
 def setting(default, help: str, **cli):
@@ -195,7 +171,8 @@ class MoMEModel:
     # ------------------------------------------------------------------
 
     def embed_patches(self, patch_bag: np.ndarray) -> Tensor:
-        """One embedded token per patch row: ``patch_bag @ w + b``."""
+        """One embedded token per patch row: ``patch_bag @ w + b``. The bag
+        becomes float64 here, the one place it enters the graph."""
         return nc.add(nc.matmul(Tensor(patch_bag), self.patch_w), self.patch_b)
 
     def embed_genomics(self, groups: GenomicGroups) -> Tensor:
@@ -307,14 +284,6 @@ _CONFIG_AT = {
 }
 
 
-def _take(buf: bytes, offset: int, size: int, what: str) -> bytes:
-    """The ``size`` bytes at ``offset``; a short read is a FormatError there."""
-    if len(buf) < offset + size:
-        raise FormatError(f"truncated {what}: needs {size} bytes, {len(buf) - offset} left",
-                          offset)
-    return buf[offset : offset + size]
-
-
 def _pack_config(config: ModelConfig) -> bytes:
     return _CONFIG_BLOCK.pack(
         config.d, config.rounds, config.n_b, config.head_count, config.time_bins, config.d_in,
@@ -327,7 +296,7 @@ def _pack_config(config: ModelConfig) -> bytes:
 
 
 def _unpack_config(buf: bytes) -> ModelConfig:
-    block = _take(buf, _CONFIG_START, _CONFIG_BLOCK.size, "config block")
+    block = take_bytes(buf, _CONFIG_START, _CONFIG_BLOCK.size, "config block")
     (d, rounds, n_b, heads, bins, d_in, first, tf, btf, snn, df, scaled, dropout, seed,
      n_groups, *sizes) = _CONFIG_BLOCK.unpack(block)
     at = _CONFIG_AT
@@ -380,33 +349,28 @@ def load_checkpoint(path) -> MoMEModel:
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {buf[:8]!r}", 0)
     offset = len(CHECKPOINT_MAGIC)
-    (version,) = _U32.unpack(_take(buf, offset, _U32.size, "checkpoint version"))
+    (version,) = _U32.unpack(take_bytes(buf, offset, _U32.size, "checkpoint version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset)
     model = MoMEModel(_unpack_config(buf))
     named = model.parameters()
     offset = _CONFIG_START + _CONFIG_BLOCK.size
-    (count,) = _U32.unpack(_take(buf, offset, _U32.size, "parameter count"))
+    (count,) = _U32.unpack(take_bytes(buf, offset, _U32.size, "parameter count"))
     if count != len(named):
         raise FormatError(f"checkpoint has {count} parameters, model expects {len(named)}",
                           offset)
     offset += _U32.size
     for name, tensor in named:
         header = _record_header(name, tensor)
-        found = _take(buf, offset, len(header), f"record of parameter '{name}'")
+        found = take_bytes(buf, offset, len(header), f"record of parameter '{name}'")
         if found != header:
             raise FormatError(f"expected the record of parameter '{name}' with extents "
                               f"{tensor.shape}, found header bytes {found!r}", offset)
         offset += len(header)
         values = np.frombuffer(
-            _take(buf, offset, tensor.data.nbytes, f"payload of parameter '{name}'"), "<f8")
+            take_bytes(buf, offset, tensor.data.nbytes, f"payload of parameter '{name}'"), "<f8")
         # The payload is written into place, past the Tensor finite check.
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise FormatError(
-                f"parameter '{name}' holds non-finite value {float(values[bad[0]])!r}",
-                offset + 8 * int(bad[0]),
-            )
+        check_finite(values, offset, f"parameter '{name}'")
         tensor.data[...] = values.reshape(tensor.shape)
         offset += values.nbytes
     if offset != len(buf):

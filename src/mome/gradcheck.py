@@ -24,7 +24,8 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import QUERY_TILE, AttentionParams, co_attention, self_attention
-from .bpe import GenomicGroups, ModelConfig, MoMEModel
+from .bpe import ModelConfig, MoMEModel
+from .data import GenomicGroups
 from .errors import ConfigError
 from .experts import (EXPERT_COUNT, MoMELayer, bottleneck_transfusion, dropf2fusion, gate,
                       mome_forward, snnfusion, transfusion)

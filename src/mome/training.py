@@ -34,7 +34,7 @@ from .data import (
     read_manifest,
     resolve_path,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, MetricError, NumericError
 from .experts import EXPERT_COUNT, ExpertId
 from .numcore import Adam, rng_stream
 from .survival import SurvivalTarget, c_index, hazards_from_logits, nll_loss, risk_score
@@ -70,13 +70,14 @@ class RunConfig(ModelSettings):
         for name in ("epochs", "key_chunk", "grad_accum"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
+                raise ConfigError(f"{name} must be at least 1, got {value}", name)
         if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"lr must be positive, got {self.lr}", "lr")
         if not 0.0 <= self.weight_decay < np.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}",
+                              "weight_decay")
         if self.folds < 2:
-            raise ConfigError(f"folds must be at least 2, got {self.folds}")
+            raise ConfigError(f"folds must be at least 2, got {self.folds}", "folds")
 
 
 @dataclass
@@ -210,6 +211,24 @@ class TrainSummary:
     records: list[MetricsRecord] = field(default_factory=list)
 
 
+def fold_split(cohort: CohortData, fold: int) -> tuple[list[int], list[int]]:
+    """The train and validation indices of ``fold``. A row with no fold
+    (-1), or a split the C-index cannot score (empty, one sample, or no
+    comparable pair), is a DataError."""
+    unassigned = next((r.sample_id for r in cohort.rows if r.fold < 0), None)
+    if unassigned is not None:
+        raise DataError(f"sample '{unassigned}' has no fold: assign a fold to every "
+                        "manifest row, or to none and let train_cohort split them")
+    train_idx = [i for i, r in enumerate(cohort.rows) if r.fold != fold]
+    val_idx = [i for i, r in enumerate(cohort.rows) if r.fold == fold]
+    for split, indices in (("train", train_idx), ("validation", val_idx)):
+        try:
+            c_index(np.zeros(len(indices)), [cohort.targets[i] for i in indices])
+        except MetricError as err:
+            raise DataError(f"fold {fold} {split} split cannot be scored: {err}") from err
+    return train_idx, val_idx
+
+
 def train_fold(
     run: RunConfig,
     cohort: CohortData,
@@ -218,15 +237,8 @@ def train_fold(
     emit=None,
 ) -> FoldResult:
     """Train on the rows outside ``fold`` and checkpoint the best epoch on
-    ``fold``; a row with no fold (-1) is rejected before a model is built."""
-    unassigned = next((r.sample_id for r in cohort.rows if r.fold < 0), None)
-    if unassigned is not None:
-        raise DataError(f"sample '{unassigned}' has no fold: assign a fold to every "
-                        "manifest row, or to none and let train_cohort split them")
-    train_idx = [i for i, r in enumerate(cohort.rows) if r.fold != fold]
-    val_idx = [i for i, r in enumerate(cohort.rows) if r.fold == fold]
-    if not train_idx or not val_idx:
-        raise DataError(f"fold {fold} leaves an empty train or validation split")
+    ``fold``; ``fold_split`` rejects a bad split before a model is built."""
+    train_idx, val_idx = fold_split(cohort, fold)
 
     model = MoMEModel(model_config_for(run, cohort, fold))
     optimizer = Adam([t for _, t in model.parameters()], lr=run.lr, weight_decay=run.weight_decay)
@@ -297,15 +309,16 @@ def train_fold(
 
 def train_cohort(run: RunConfig, manifest_path, out_dir, emit=None) -> TrainSummary:
     """Train every fold present in the manifest and summarize. A manifest
-    with no fold column assigned is split into ``run.folds`` folds; one
-    with some rows assigned and others not is rejected by ``train_fold``
-    (fold -1 sorts first, so no fold trains)."""
+    with no fold column assigned is split into ``run.folds`` folds; every
+    fold's split passes ``fold_split`` before the first fold trains."""
     cohort = load_cohort(manifest_path, run.time_bins)
     if all(r.fold < 0 for r in cohort.rows):
         assignment = kfold_split(cohort.rows, k=run.folds, seed=run.seed)
         for row, fold in zip(cohort.rows, assignment):
             row.fold = fold
     folds = sorted({r.fold for r in cohort.rows})
+    for fold in folds:
+        fold_split(cohort, fold)
 
     records: list[MetricsRecord] = []
 

@@ -261,6 +261,30 @@ class TestForward:
         permuted = model.forward(patches[perm], groups, key_chunk=64).data
         assert np.array_equal(base, permuted)
 
+    @pytest.mark.parametrize("n", [128, 300])  # 300 rows span two query tiles
+    def test_float32_bag_matches_its_float64_copy_bit_for_bit(self, n):
+        """A bag stays the float32 its file holds until ``embed_patches``
+        casts it. The cast is exact and float32 sorts as float64 does, so
+        the logits and every gradient of a training step are unchanged."""
+        config = small_config(dropout_rate=0.25)
+        rng = nc.rng_stream(40 + n)
+        bag = rng.standard_normal((n, config.d_in)).astype(np.float32)
+        bag[1::7, 0] = bag[0, 0]  # ties in column 0 take the lexsort path
+        groups = GenomicGroups(tuple(rng.standard_normal(s) for s in config.group_sizes))
+        target = SurvivalTarget(bin=1, censored=False, raw_time=20.0)
+        runs = []
+        for patches in (bag, bag.astype(np.float64)):
+            model = MoMEModel(config)
+            logits = model.forward(patches, groups, training=True, rng=nc.rng_stream(7),
+                                   key_chunk=64)
+            nll_loss(hazards_from_logits(logits), target).backward()
+            runs.append((logits.data, [(name, t.grad) for name, t in model.parameters()]))
+        (logits_a, grads_a), (logits_b, grads_b) = runs
+        assert np.array_equal(logits_a, logits_b)
+        for (name, ga), (_, gb) in zip(grads_a, grads_b):
+            assert (ga is None) == (gb is None), name
+            assert ga is None or np.array_equal(ga, gb), name
+
     def test_empty_patch_bag_rejected(self):
         config = small_config()
         model = MoMEModel(config)

@@ -192,6 +192,19 @@ class TestTrainCommand:
         assert not (tmp_path / "o" / "metrics.csv").exists()  # rejected runs write nothing
         assert list((tmp_path / "o").glob("*.ckpt")) == []  # no fold trained
 
+    def test_fold_the_c_index_cannot_score_is_data_error(self, tmp_path, capsys):
+        """Ten samples in ten folds leave one validation sample per fold, too
+        few for a C-index; the run fails naming fold 0 and writes nothing."""
+        assert run_cli("gen-data", "--n", "10", "--patches", "4", "--dim", "8", "--folds", "10",
+                       "--seed", "1", "--out", str(tmp_path / "c10")) == 0
+        capsys.readouterr()
+        code = run_cli("train", "--manifest", str(tmp_path / "c10" / "manifest.csv"),
+                       "--out", str(tmp_path / "o"), "--epochs", "1", "--dim", "8", "--bins", "2")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "fold 0 validation split cannot be scored" in err and "two samples" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
 
 @pytest.fixture
 def train_runs(cohort_dir, tmp_path, monkeypatch):

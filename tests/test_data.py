@@ -43,6 +43,14 @@ class TestFeatureFileFormat:
             write_feature_file(path, bag)
             assert np.array_equal(read_feature_file(path), bag)
 
+    def test_read_returns_the_float32_values_written(self, tmp_path):
+        bag = nc.rng_stream(65).standard_normal((9, 5)).astype(np.float32)
+        path = tmp_path / "bag.mmef"
+        write_feature_file(path, bag)
+        loaded = read_feature_file(path)
+        assert loaded.dtype == np.float32 and loaded.shape == (9, 5)
+        assert np.array_equal(loaded, bag)
+
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = tmp_path / "bag.mmef"
         write_feature_file(path, np.ones((4, 3)))

@@ -169,3 +169,22 @@ def test_parameter_sets_check_nothing(module, holders):
              if any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
                     for stmt in node.body)]
     assert found == []
+
+
+def test_data_imports_no_model_module():
+    """``data`` owns how file bytes become arrays, the genomic type included,
+    below the model stack: of the package it imports ``errors`` and
+    ``numcore`` alone, never ``bpe``, ``experts``, ``attention``,
+    ``survival``, ``training``, ``gradcheck`` or ``cli``."""
+    package = {os.path.basename(path)[:-3]
+               for path in glob.glob(os.path.join(ROOT, "src", "mome", "*.py"))}
+    imported = set()
+    for node in ast.walk(_module_tree("data.py")):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        imported.update(name.removeprefix("mome.") for name in names)
+    assert sorted((imported & package) - {"errors", "numcore"}) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 import mome.numcore as nc
 import mome.training as training
 from mome.bpe import MoMEModel, load_checkpoint
-from mome.data import synthesize_cohort
+from mome.data import read_manifest, resolve_path, synthesize_cohort, write_manifest
 from mome.errors import ConfigError, DataError, NumericError
 from mome.numcore import Adam
 from mome.survival import nll_loss
@@ -89,8 +90,44 @@ class TestTrainFold:
             train_fold(RunConfig(**SMALL_RUN), cohort, fold=0, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_split_without_a_comparable_pair_rejected_before_any_model(
+            self, small_manifest, tmp_path, monkeypatch):
+        cohort = load_cohort(small_manifest, time_bins=3)
+        for i, row in enumerate(cohort.rows):
+            if row.fold == 1:
+                cohort.targets[i] = dataclasses.replace(cohort.targets[i], censored=True)
+
+        def no_model(config):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr(training, "MoMEModel", no_model)
+        with pytest.raises(DataError, match="fold 1 validation split cannot be scored: "
+                                            "no comparable pairs"):
+            train_fold(RunConfig(**SMALL_RUN), cohort, fold=1, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainCohort:
+    def test_every_split_checked_before_the_first_fold_trains(self, small_manifest, tmp_path,
+                                                             monkeypatch):
+        """Fold 2 holds only censored samples, so its validation C-index is
+        undefined; the run fails naming it before fold 0 builds a model."""
+        rows = read_manifest(small_manifest)
+        for row in rows:
+            row.patho_path = resolve_path(small_manifest, row.patho_path)
+            row.geno_path = resolve_path(small_manifest, row.geno_path)
+            row.censored = row.censored or row.fold == 2
+        manifest = str(tmp_path / "manifest.csv")
+        write_manifest(manifest, rows)
+
+        def no_model(config):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr(training, "MoMEModel", no_model)
+        with pytest.raises(DataError, match="fold 2 validation split"):
+            train_cohort(RunConfig(**SMALL_RUN), manifest, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_summary_shape(self, small_manifest, tmp_path):
         summary = train_cohort(RunConfig(**SMALL_RUN), small_manifest, tmp_path)
         assert len(summary.fold_results) == 3
@@ -191,8 +228,9 @@ class TestRunConfigRanges:
         ("folds", 0), ("epochs", None), ("grad_accum", None),
     ])
     def test_rejected_at_construction(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=field) as caught:
             RunConfig(**{field: value})
+        assert caught.value.field == field
 
     @pytest.mark.parametrize("mask", [(True,), (True, False, True, True, False)])
     def test_mask_without_one_flag_per_expert_rejected(self, mask):
