@@ -18,7 +18,7 @@ import mome.numcore as nc
 from mome.attention import AttentionParams, self_attention, verify_ca_embedding
 
 rng = nc.rng_stream(7)
-params = AttentionParams.create(16, nc.rng_stream(8))
+params = AttentionParams.create(16, nc.Init(nc.rng_stream(8)))
 
 pathology = nc.Tensor(rng.standard_normal((10, 16)))
 genomics = nc.Tensor(rng.standard_normal((6, 16)))
@@ -30,7 +30,7 @@ print(f"  dense masked softmax vs kernel co-attention: {report.output_dev:.2e}")
 
 # Negative control: different key projection on the co-attention side
 # must break the identity.
-other = AttentionParams.create(16, nc.rng_stream(99))
+other = AttentionParams.create(16, nc.Init(nc.rng_stream(99)))
 broken = verify_ca_embedding(pathology, genomics, params, ca_params=other)
 print("identity with mismatched keys (expected False):", broken.ok)
 

@@ -23,7 +23,7 @@ from mome.experts import (
 )
 
 rng = nc.rng_stream(3)
-layer = MoMELayer.create(8, nc.rng_stream(4), n_bottleneck=2, head_count=1,
+layer = MoMELayer.create(8, nc.Init(nc.rng_stream(4)), n_bottleneck=2, head_count=1,
                          enable_mask=(True, True, True, True), dropout_rate=0.25)
 
 f1 = nc.Tensor(rng.standard_normal((5, 8)))  # encoded modality

@@ -59,13 +59,9 @@ class AttentionParams(nc.ParameterSet):
         return self.query.shape[0]
 
     @classmethod
-    def create(cls, d: int, rng: np.random.Generator, head_count: int = 1) -> "AttentionParams":
-        mats = [nc.fan_in_uniform(rng, (d, d)) for _ in range(3)]
-        out_proj = None
-        if head_count > 1:
-            # Near-identity so the multi-head stack starts close to the
-            # single-head behaviour.
-            out_proj = Tensor(np.eye(d) + 0.01 * rng.standard_normal((d, d)), requires_grad=True)
+    def create(cls, d: int, init: nc.Init, head_count: int = 1) -> "AttentionParams":
+        mats = [init.fan_in((d, d)) for _ in range(3)]
+        out_proj = init.near_identity(d) if head_count > 1 else None
         return cls(*mats, head_count=head_count, out_proj=out_proj)
 
 

@@ -21,17 +21,21 @@ u32, head_count u32, time_bins u32, d_in u32, first_encoded u8, four
 enable-mask u8 flags, a gate-scaling u8, dropout_rate f64, seed u64,
 n_groups u32 and one u32 group size each. Every flag byte is 0 or 1, and
 the gate-scaling byte is always 1: expert outputs are scaled by the gate
-probability. The records appear in ``MoMEModel.parameters()`` order, and
-the loader reads them in that order. It reports a FormatError at the byte
-offset of every fault: a bad magic or version, any short read, a bad flag
-byte, a config value ``ModelConfig`` rejects (at that value's field), a
-misnamed record or wrong extents (at the record's start), a non-finite
-payload value and trailing bytes. Those short-read and finite checks, the
+probability. The records appear in ``MoMEModel.parameters()`` order,
+which is the order the model makes its tensors in through a
+``numcore.Init``. The loader builds the model once: its ``Init`` reads the
+next record when the model asks for a shape, checking the extents and the
+payload bytes first. It reports a FormatError at the byte offset of every
+fault: a bad magic or version, any short read, a bad flag byte, a config
+value ``ModelConfig`` rejects (at that value's field), wrong extents or a
+misnamed record (at the record's start), a non-finite payload value, a
+wrong count and trailing bytes. Those short-read and finite checks, the
 group names and ``GenomicGroups`` are :mod:`mome.data`'s.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -137,23 +141,25 @@ class ModelConfig(ModelSettings):
 class MoMEModel:
     """Embeddings, the expert layer stack, readout attention, hazard head."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, init: nc.Init | None = None):
         self.config = config
-        rng = nc.rng_stream(config.seed)
+        init = init if init is not None else nc.Init(nc.rng_stream(config.seed))
         d = config.d
-        self.patch_w = nc.fan_in_uniform(rng, (config.d_in, d))
-        self.patch_b = Tensor(np.zeros(d), requires_grad=True)
-        self.group_w = [nc.fan_in_uniform(rng, (size, d)) for size in config.group_sizes]
-        self.group_b = [Tensor(np.zeros(d), requires_grad=True) for _ in range(N_GROUPS)]
+        self.patch_w = init.fan_in((config.d_in, d))
+        self.patch_b = init.constant((d,), 0.0)
+        self.group_w, self.group_b = [], []
+        for size in config.group_sizes:
+            self.group_w.append(init.fan_in((size, d)))
+            self.group_b.append(init.constant((d,), 0.0))
         self.layers = [
-            MoMELayer.create(d, rng, n_bottleneck=config.n_b, head_count=config.head_count,
+            MoMELayer.create(d, init, n_bottleneck=config.n_b, head_count=config.head_count,
                              enable_mask=config.enable_mask, dropout_rate=config.dropout_rate)
             for _ in range(config.layer_count)
         ]
-        self.cls_token = Tensor(0.02 * rng.standard_normal((1, d)), requires_grad=True)
-        self.readout = AttentionParams.create(d, rng, config.head_count)
-        self.head_w = nc.fan_in_uniform(rng, (d, config.time_bins))
-        self.head_b = Tensor(np.zeros(config.time_bins), requires_grad=True)
+        self.cls_token = init.normal((1, d))
+        self.readout = AttentionParams.create(d, init, config.head_count)
+        self.head_w = init.fan_in((d, config.time_bins))
+        self.head_b = init.constant((config.time_bins,), 0.0)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = [("patch.w", self.patch_w), ("patch.b", self.patch_b)]
@@ -323,27 +329,47 @@ def _unpack_config(buf: bytes) -> ModelConfig:
         raise FormatError(f"invalid config block: {err}", at[err.field])
 
 
-def _record_header(name: str, tensor: Tensor) -> bytes:
-    """A parameter record up to its payload: name length u16, name, rank u8, extents."""
-    encoded = name.encode("utf-8")
-    return (struct.pack("<H", len(encoded)) + encoded
-            + struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape))
-
-
 def save_checkpoint(model: MoMEModel, path) -> None:
     named = model.parameters()
     chunks = [CHECKPOINT_MAGIC, _U32.pack(CHECKPOINT_VERSION),
               _pack_config(model.config), _U32.pack(len(named))]
     for name, tensor in named:
-        chunks.append(_record_header(name, tensor))
-        chunks.append(tensor.data.astype("<f8").tobytes())
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(encoded)), encoded,
+                   struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape),
+                   tensor.data.astype("<f8").tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
+class _RecordReader(nc.Init):
+    """Reads each tensor from the next record of ``buf`` instead of drawing
+    it, and keeps each record's name and start for the name check."""
+
+    def __init__(self, buf: bytes, offset: int):
+        super().__init__(None)
+        self.buf, self.offset, self.records = buf, offset, []
+
+    def make(self, shape, draw) -> Tensor:
+        buf, start = self.buf, self.offset
+        (size,) = struct.unpack("<H", take_bytes(buf, start, 2, "record name length"))
+        head = take_bytes(buf, start + 2, size + 1, "record name and rank")
+        name, rank, at = head[:-1], head[-1], start + 3 + size
+        extents = struct.unpack(f"<{rank}I", take_bytes(buf, at, 4 * rank, "record extents"))
+        if extents != shape:
+            raise FormatError(f"record extents {extents}, the model expects {shape}", start)
+        at += 4 * rank
+        what = f"parameter '{name.decode(errors='replace')}'"
+        values = np.frombuffer(take_bytes(buf, at, 8 * math.prod(shape), f"payload of {what}"),
+                               "<f8")
+        check_finite(values, at, what)
+        self.records.append((name, start))
+        self.offset = at + values.nbytes
+        return super().make(shape, lambda _: values.reshape(shape))
+
+
 def load_checkpoint(path) -> MoMEModel:
-    """The model ``save_checkpoint`` wrote: every part is read in the order it
-    is written, and the records must follow ``MoMEModel.parameters()``."""
+    """The model ``save_checkpoint`` wrote, built once from its records."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -352,27 +378,19 @@ def load_checkpoint(path) -> MoMEModel:
     (version,) = _U32.unpack(take_bytes(buf, offset, _U32.size, "checkpoint version"))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset)
-    model = MoMEModel(_unpack_config(buf))
-    named = model.parameters()
+    config = _unpack_config(buf)
     offset = _CONFIG_START + _CONFIG_BLOCK.size
     (count,) = _U32.unpack(take_bytes(buf, offset, _U32.size, "parameter count"))
+    reader = _RecordReader(buf, offset + _U32.size)
+    model = MoMEModel(config, reader)
+    named = model.parameters()
+    for (found, start), (name, _) in zip(reader.records, named):
+        if found != name.encode("utf-8"):
+            raise FormatError(f"expected parameter '{name}', found {found!r}", start)
     if count != len(named):
         raise FormatError(f"checkpoint has {count} parameters, model expects {len(named)}",
                           offset)
-    offset += _U32.size
-    for name, tensor in named:
-        header = _record_header(name, tensor)
-        found = take_bytes(buf, offset, len(header), f"record of parameter '{name}'")
-        if found != header:
-            raise FormatError(f"expected the record of parameter '{name}' with extents "
-                              f"{tensor.shape}, found header bytes {found!r}", offset)
-        offset += len(header)
-        values = np.frombuffer(
-            take_bytes(buf, offset, tensor.data.nbytes, f"payload of parameter '{name}'"), "<f8")
-        # The payload is written into place, past the Tensor finite check.
-        check_finite(values, offset, f"parameter '{name}'")
-        tensor.data[...] = values.reshape(tensor.shape)
-        offset += values.nbytes
-    if offset != len(buf):
-        raise FormatError(f"{len(buf) - offset} trailing bytes after last parameter", offset)
+    if reader.offset != len(buf):
+        raise FormatError(f"{len(buf) - reader.offset} trailing bytes after last parameter",
+                          reader.offset)
     return model

@@ -4,7 +4,7 @@ Configuration precedence is flags over config file over defaults. The
 ``train`` flags and the config-file keys are both generated from the
 ``RunConfig`` fields, and so is the ``--key-chunk`` flag of ``eval`` and
 ``route-stats``, which ``RunConfig`` checks before the checkpoint is read.
-The config file is plain ``key=value`` lines
+The config file is UTF-8 ``key=value`` lines
 (``#`` comments allowed); a key is a field name or its flag name with
 underscores, and an unknown key or a bad value is a configuration error.
 The environment variable ``MOME_SEED`` is the seed fallback when neither
@@ -26,13 +26,14 @@ from typing import get_type_hints
 
 from .bpe import load_checkpoint
 from .data import synthesize_cohort
-from .errors import ConfigError, DataError, MetricError, MomeError
+from .errors import ConfigError, MetricError, MomeError
 from .experts import ExpertId
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .training import (
     METRICS_HEADER,
     ROUTING_LOG_HEADER,
     RunConfig,
+    check_scorable,
     evaluate,
     format_metrics_record,
     format_routing_record,
@@ -106,24 +107,29 @@ def _read_config_file(path: str) -> dict[str, object]:
             for key in (_flag(f).lstrip("-").replace("-", "_"), f.name)}
     values: dict[str, object] = {}
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
-                key, text = (part.strip() for part in line.split("=", 1))
-                key = key.replace("-", "_")
-                if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-                f = keys[key]
-                try:
-                    values[f.name] = _config_value(f, text)
-                except ConfigError as err:
-                    raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        lines = raw.decode("utf-8").splitlines()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"{path}:{lineno}: byte {raw[err.start]:#04x} is not UTF-8")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got '{line}'")
+        key, text = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        f = keys[key]
+        try:
+            values[f.name] = _config_value(f, text)
+        except ConfigError as err:
+            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {err}")
     return values
 
 
@@ -190,8 +196,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cohort = load_cohort(args.manifest, model.config.time_bins)
     if args.fold is not None:
         indices = [i for i, r in enumerate(cohort.rows) if r.fold == args.fold]
-        if not indices:
-            raise DataError(f"manifest has no rows in fold {args.fold}")
+        check_scorable(cohort, indices, f"fold {args.fold} of {args.manifest}")
     else:
         indices = list(range(len(cohort.rows)))
     loss, score, _ = evaluate(model, cohort, indices, key_chunk=key_chunk)

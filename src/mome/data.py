@@ -156,9 +156,7 @@ def read_feature_file(path) -> np.ndarray:
     if buf[:4] != FEATURE_MAGIC:
         raise FormatError(f"bad feature magic {buf[:4]!r}", 0)
     start = FEATURE_HEADER.size
-    if len(buf) < start:
-        raise FormatError(f"feature header needs {start} bytes, file has {len(buf)}", len(buf))
-    _, version, n, dim = FEATURE_HEADER.unpack_from(buf)
+    _, version, n, dim = FEATURE_HEADER.unpack(take_bytes(buf, 0, start, "feature header"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported feature file version {version}", 4)
     if n < 1:
@@ -192,9 +190,7 @@ def read_genomic_file(path) -> GenomicGroups:
     if buf[:4] != GENOMIC_MAGIC:
         raise FormatError(f"bad genomic magic {buf[:4]!r}", 0)
     offset = GENOMIC_HEADER.size
-    if len(buf) < offset:
-        raise FormatError(f"genomic header needs {offset} bytes, file has {len(buf)}", len(buf))
-    _, version = GENOMIC_HEADER.unpack_from(buf)
+    _, version = GENOMIC_HEADER.unpack(take_bytes(buf, 0, offset, "genomic header"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported genomic file version {version}", 4)
     values, starts = [], []

@@ -24,7 +24,8 @@ hands its :class:`GateDecision` back through ``routes``, and the caller
 that knows the sample (``training.evaluate``) turns it into a record.
 
 The parameter sets are plain holders that ``bpe.MoMEModel`` fills from a
-validated ``ModelConfig``: they copy no setting's default and check nothing.
+validated ``ModelConfig`` and a ``numcore.Init``: they copy no setting's
+default and check nothing.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ class GateParams(nc.ParameterSet):
     gain2: Tensor
 
     @classmethod
-    def create(cls, d: int, rng: np.random.Generator) -> "GateParams":
+    def create(cls, d: int, init: nc.Init) -> "GateParams":
         return cls(
-            w1=nc.fan_in_uniform(rng, (d, d)),
-            w2=nc.fan_in_uniform(rng, (d, d)),
-            w=nc.fan_in_uniform(rng, (d, EXPERT_COUNT)),
-            gain1=Tensor(np.ones(d), requires_grad=True),
-            gain2=Tensor(np.ones(d), requires_grad=True),
+            w1=init.fan_in((d, d)),
+            w2=init.fan_in((d, d)),
+            w=init.fan_in((d, EXPERT_COUNT)),
+            gain1=init.constant((d,), 1.0),
+            gain2=init.constant((d,), 1.0),
         )
 
 
@@ -112,14 +113,14 @@ class SnnParams(nc.ParameterSet):
     dropout_rate: float
 
     @classmethod
-    def create(cls, d: int, rng: np.random.Generator, dropout_rate: float) -> "SnnParams":
+    def create(cls, d: int, init: nc.Init, dropout_rate: float) -> "SnnParams":
         return cls(
-            w1=nc.fan_in_uniform(rng, (d, d)),
-            b1=Tensor(np.zeros(d), requires_grad=True),
-            w2=nc.fan_in_uniform(rng, (d, d)),
-            b2=Tensor(np.zeros(d), requires_grad=True),
-            gain1=Tensor(np.ones(d), requires_grad=True),
-            gain2=Tensor(np.ones(d), requires_grad=True),
+            w1=init.fan_in((d, d)),
+            b1=init.constant((d,), 0.0),
+            w2=init.fan_in((d, d)),
+            b2=init.constant((d,), 0.0),
+            gain1=init.constant((d,), 1.0),
+            gain2=init.constant((d,), 1.0),
             dropout_rate=dropout_rate,
         )
 
@@ -142,19 +143,19 @@ class MoMELayer(nc.ParameterSet):
     def create(
         cls,
         d: int,
-        rng: np.random.Generator,
+        init: nc.Init,
         n_bottleneck: int,
         head_count: int,
         enable_mask: tuple[bool, bool, bool, bool],
         dropout_rate: float,
     ) -> "MoMELayer":
         return cls(
-            gate=GateParams.create(d, rng),
-            tf=AttentionParams.create(d, rng, head_count),
-            btf_inner=AttentionParams.create(d, rng, head_count),
-            btf_outer=AttentionParams.create(d, rng, head_count),
-            bottleneck=Tensor(0.02 * rng.standard_normal((n_bottleneck, d)), requires_grad=True),
-            snn=SnnParams.create(d, rng, dropout_rate),
+            gate=GateParams.create(d, init),
+            tf=AttentionParams.create(d, init, head_count),
+            btf_inner=AttentionParams.create(d, init, head_count),
+            btf_outer=AttentionParams.create(d, init, head_count),
+            bottleneck=init.normal((n_bottleneck, d)),
+            snn=SnnParams.create(d, init, dropout_rate),
             enable_mask=enable_mask,
         )
 

@@ -107,44 +107,31 @@ def _check_broadcast(seed, fault=False):
                         [x, bias, prob], fault=fault)
 
 
-def _attention_instance(seed, d=6, heads=1):
-    rng = nc.rng_stream(seed)
-    params = AttentionParams.create(d, rng, head_count=heads)
-    tokens = Tensor(rng.standard_normal((4, d)), requires_grad=True)
-    wiggle = [tokens, params.query, params.key, params.value]
-    if params.out_proj is not None:
-        wiggle.append(params.out_proj)
-    return params, tokens, wiggle, rng
+def _attention_check(heads=1, key_chunk=None):
+    """A self-attention check over four tokens of width 6, with ``heads``
+    heads and key blocks of ``key_chunk`` rows."""
 
+    def check(seed, fault=False):
+        rng = nc.rng_stream(seed)
+        params = AttentionParams.create(6, nc.Init(rng), head_count=heads)
+        tokens = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        wiggle = [tokens, params.query, params.key, params.value]
+        if params.out_proj is not None:
+            wiggle.append(params.out_proj)
+        w = rng.standard_normal((4, 6))
+        return max_fd_error(
+            lambda: _weighted_sum(self_attention([tokens], params, key_chunk=key_chunk), w),
+            _rotate(wiggle, seed), fault=fault,
+        )
 
-def _check_attention_self(seed, fault=False):
-    params, tokens, wiggle, rng = _attention_instance(seed)
-    w = rng.standard_normal((4, 6))
-    return max_fd_error(lambda: _weighted_sum(self_attention([tokens], params), w),
-                        _rotate(wiggle, seed), fault=fault)
-
-
-def _check_attention_multihead(seed, fault=False):
-    params, tokens, wiggle, rng = _attention_instance(seed, heads=2)
-    w = rng.standard_normal((4, 6))
-    return max_fd_error(lambda: _weighted_sum(self_attention([tokens], params), w),
-                        _rotate(wiggle, seed), fault=fault)
-
-
-def _check_attention_chunked(seed, fault=False):
-    params, tokens, wiggle, rng = _attention_instance(seed)
-    w = rng.standard_normal((4, 6))
-    return max_fd_error(
-        lambda: _weighted_sum(self_attention([tokens], params, key_chunk=2), w),
-        _rotate(wiggle, seed), fault=fault,
-    )
+    return check
 
 
 def _check_attention_pruned(seed, fault=False):
     """One query row over a bag one tile and two rows long: the kernel runs
     that one query row against every key."""
     rng = nc.rng_stream(seed)
-    params = AttentionParams.create(6, rng)
+    params = AttentionParams.create(6, nc.Init(rng))
     tokens = rng.standard_normal((QUERY_TILE + 2, 6))
     query, keys = Tensor(tokens[:1]), Tensor(tokens[1:])
     w = rng.standard_normal((1, 6))
@@ -155,7 +142,7 @@ def _check_attention_pruned(seed, fault=False):
 
 def _check_attention_co(seed, fault=False):
     rng = nc.rng_stream(seed)
-    params = AttentionParams.create(6, rng)
+    params = AttentionParams.create(6, nc.Init(rng))
     f1 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
     f2 = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
     w = rng.standard_normal((3, 6))
@@ -167,7 +154,7 @@ def _check_attention_co(seed, fault=False):
 def _expert_instance(seed, head_count=1, enable_mask=(True,) * EXPERT_COUNT):
     d = 6
     rng = nc.rng_stream(seed)
-    layer = MoMELayer.create(d, rng, n_bottleneck=2, head_count=head_count,
+    layer = MoMELayer.create(d, nc.Init(rng), n_bottleneck=2, head_count=head_count,
                              enable_mask=enable_mask, dropout_rate=0.3)
     f1 = Tensor(rng.standard_normal((3, d)), requires_grad=True)
     f2 = Tensor(rng.standard_normal((2, d)), requires_grad=True)
@@ -314,9 +301,9 @@ def _check_model_composite(seed, fault=False):
 COMPONENTS = {
     "matmul": _check_matmul,
     "broadcast": _check_broadcast,
-    "attention_self": _check_attention_self,
-    "attention_multihead": _check_attention_multihead,
-    "attention_chunked": _check_attention_chunked,
+    "attention_self": _attention_check(),
+    "attention_multihead": _attention_check(heads=2),
+    "attention_chunked": _attention_check(key_chunk=2),
     "attention_pruned": _check_attention_pruned,
     "attention_co": _check_attention_co,
     "gate": _check_gate,

@@ -14,8 +14,9 @@ genomic embedding, the attention kernel and the survival loss) live with
 their callers and enter the graph as one node each through
 :func:`graph_op`.
 Model weights live in dataclasses derived from :class:`ParameterSet`,
-whose fields are their parameter list; :class:`Adam` is the one
-optimizer and updates those tensors in place from their ``grad``.
+whose fields are their parameter list; :class:`Init` makes every one of
+those tensors, and :class:`Adam` is the one optimizer and updates them
+in place from their ``grad``.
 
 Conventions:
 
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, UsageError
+from .errors import NumericError, ShapeError, UsageError
 
 _node_ids = itertools.count()
 _grad_enabled = True
@@ -252,10 +253,31 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
-    """A trainable weight drawn uniformly within ±1/sqrt(shape[0]) (fan-in)."""
-    bound = 1.0 / np.sqrt(shape[0])
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+class Init:
+    """The one source of trainable tensors: each rule hands ``make`` a shape
+    and a draw from ``rng``, and a checkpoint reader overrides ``make`` to
+    read the values instead. A model calls the rules in ``parameters()`` order."""
+
+    def __init__(self, rng: np.random.Generator | None):
+        self.rng = rng
+
+    def make(self, shape: tuple[int, ...], draw: Callable) -> Tensor:
+        return Tensor(draw(self.rng), requires_grad=True)
+
+    def fan_in(self, shape: tuple[int, ...]) -> Tensor:  # uniform within ±1/sqrt(shape[0])
+        bound = 1.0 / np.sqrt(shape[0])
+        return self.make(shape, lambda rng: rng.uniform(-bound, bound, size=shape))
+
+    def constant(self, shape: tuple[int, ...], value: float) -> Tensor:
+        return self.make(shape, lambda rng: np.full(shape, value))
+
+    def normal(self, shape: tuple[int, ...]) -> Tensor:  # 0.02 x standard normal
+        return self.make(shape, lambda rng: 0.02 * rng.standard_normal(shape))
+
+    def near_identity(self, d: int) -> Tensor:
+        """Identity plus 0.01 x standard normal: a multi-head output
+        projection that starts close to the single-head behaviour."""
+        return self.make((d, d), lambda rng: np.eye(d) + 0.01 * rng.standard_normal((d, d)))
 
 
 class ParameterSet:
@@ -291,12 +313,11 @@ class Adam:
     gradient is None. Weight decay is coupled: an L2 term added to the
     gradient before the moment updates. The moments are allocated at the
     first step. A non-finite update raises ``NumericError`` naming the
-    parameter's index before that parameter is written.
+    parameter's index before that parameter is written. ``lr`` is taken
+    as given: ``training.RunConfig`` owns its range rule.
     """
 
     def __init__(self, params: Sequence[Tensor], *, lr: float, weight_decay: float):
-        if lr <= 0:
-            raise ConfigError("Adam learning rate must be positive")
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -71,8 +71,8 @@ class RunConfig(ModelSettings):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}", name)
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}", "lr")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}", "lr")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}",
                               "weight_decay")
@@ -222,11 +222,16 @@ def fold_split(cohort: CohortData, fold: int) -> tuple[list[int], list[int]]:
     train_idx = [i for i, r in enumerate(cohort.rows) if r.fold != fold]
     val_idx = [i for i, r in enumerate(cohort.rows) if r.fold == fold]
     for split, indices in (("train", train_idx), ("validation", val_idx)):
-        try:
-            c_index(np.zeros(len(indices)), [cohort.targets[i] for i in indices])
-        except MetricError as err:
-            raise DataError(f"fold {fold} {split} split cannot be scored: {err}") from err
+        check_scorable(cohort, indices, f"fold {fold} {split} split")
     return train_idx, val_idx
+
+
+def check_scorable(cohort: CohortData, indices: list[int], what: str) -> None:
+    """A DataError naming ``what`` when ``c_index`` cannot score ``indices``."""
+    try:
+        c_index(np.zeros(len(indices)), [cohort.targets[i] for i in indices])
+    except MetricError as err:
+        raise DataError(f"{what} cannot be scored: {err}") from err
 
 
 def train_fold(

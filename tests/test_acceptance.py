@@ -45,7 +45,7 @@ class TestCriterion02AttentionEmbeddingIdentity:
             d = int(rng.integers(2, 12))
             f1 = nc.Tensor(rng.standard_normal((int(rng.integers(1, 8)), d)))
             f2 = nc.Tensor(rng.standard_normal((int(rng.integers(1, 8)), d)))
-            params = AttentionParams.create(d, nc.rng_stream(9500 + seed))
+            params = AttentionParams.create(d, nc.Init(nc.rng_stream(9500 + seed)))
             rep = verify_ca_embedding(f1, f2, params)
             worst_score = max(worst_score, rep.score_block_dev)
             worst_out = max(worst_out, rep.output_dev)
@@ -123,7 +123,7 @@ class TestCriterion05ChunkedAttention:
         with nc.no_grad():
             for n, seed in ((512, 1), (5000, 2)):
                 rng = nc.rng_stream(seed)
-                params = AttentionParams.create(8, nc.rng_stream(seed + 10))
+                params = AttentionParams.create(8, nc.Init(nc.rng_stream(seed + 10)))
                 tokens = nc.Tensor(rng.standard_normal((n, 8)))
                 dense = self_attention([tokens], params).data
                 for chunk in (1, 2, 4096):

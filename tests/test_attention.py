@@ -18,7 +18,7 @@ from mome.errors import ConfigError, DataError, ShapeError
 
 
 def make_params(d, seed, head_count=1):
-    return AttentionParams.create(d, nc.rng_stream(seed), head_count=head_count)
+    return AttentionParams.create(d, nc.Init(nc.rng_stream(seed)), head_count=head_count)
 
 
 @contextlib.contextmanager

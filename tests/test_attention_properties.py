@@ -38,7 +38,7 @@ def run(case, key_chunk, prune=True):
     every projection by name, and the inputs."""
     n, _, heads, rows, seed = case
     rng = nc.rng_stream(seed)
-    params = AttentionParams.create(WIDTH, rng, head_count=heads)
+    params = AttentionParams.create(WIDTH, nc.Init(rng), head_count=heads)
     tokens = nc.Tensor(rng.standard_normal((n, WIDTH)), requires_grad=True)
     weights = nc.Tensor(rng.standard_normal((rows, WIDTH)))
     if prune:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,6 +644,37 @@ class TestCheckpointRoundtrip:
             "ef2b961c6e3607194d8de7e3123f8cabcb04b5ea5dd43bb92c4b18ea8c37173b")
         loaded = load_checkpoint(path)
         assert loaded.config == config
+        for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_config_width_larger_than_the_records_fails_before_allocating(self, tmp_path):
+        """A d=4 checkpoint whose ``d`` (byte 12) reads 512 fails at its first
+        record (byte 90), before any tensor of the d=512 model is allocated."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MoMEModel(small_config(seed=32, d=4)), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 12, 512)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == 90
+        assert peak < 1 << 20
+
+    def test_load_draws_no_random_value(self, tmp_path, monkeypatch):
+        model = MoMEModel(small_config(seed=33, head_count=2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def refuse(seed):
+            raise AssertionError("load_checkpoint drew a random stream")
+
+        monkeypatch.setattr(nc, "rng_stream", refuse)
+        loaded = load_checkpoint(path)
         for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
 

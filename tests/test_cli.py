@@ -6,7 +6,8 @@ import pytest
 
 import mome.cli as cli
 import mome.training as training
-from mome.data import read_manifest, synthesize_cohort
+from mome.bpe import MoMEModel
+from mome.data import read_manifest, synthesize_cohort, write_manifest
 from mome.errors import MomeError
 from mome.gradcheck import COMPONENTS, run_suite
 from mome.training import FoldResult, RunConfig, TrainSummary, TrainingAbort
@@ -388,6 +389,27 @@ class TestEvalAndRouteStats:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "byte offset 8" in lines[0]
 
+    def test_eval_fold_the_c_index_cannot_score_fails_before_the_forward(
+            self, cohort_dir, trained, tmp_path, monkeypatch, capsys):
+        """A fold of one sample cannot be scored: eval says so, naming the
+        fold and the manifest, before any forward pass runs."""
+        rows = read_manifest(cohort_dir / "manifest.csv")
+        rows[0].fold = 9
+        for row in rows:
+            row.patho_path = str(cohort_dir / row.patho_path)
+            row.geno_path = str(cohort_dir / row.geno_path)
+        manifest = str(tmp_path / "manifest.csv")
+        write_manifest(manifest, rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(MoMEModel, "forward", refuse)
+        code = run_cli("eval", "--checkpoint", str(trained / "fold0.ckpt"),
+                       "--manifest", manifest, "--fold", "9")
+        assert code == 3
+        assert f"fold 9 of {manifest} cannot be scored" in capsys.readouterr().err
+
     def test_checkpoint_manifest_mismatch(self, cohort_dir, trained, tmp_path):
         other = tmp_path / "other"
         synthesize_cohort(12, 4, 5, "patho", 0.0, seed=1, out_dir=other)
@@ -410,7 +432,7 @@ class TestOutOfRangeSettings:
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--epochs", "-2"], ["--key-chunk", "0"], ["--lr", "0"],
         ["--lr=-1e-4"], ["--dropout", "1.5"], ["--dropout", "nan"], ["--weight-decay=-1"],
-        ["--weight-decay", "nan"], ["--folds", "1"],
+        ["--weight-decay", "nan"], ["--folds", "1"], ["--lr", "inf"],
     ])
     def test_train_flag(self, cohort_dir, tmp_path, cohort_never_read, capsys, flags):
         code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
@@ -421,13 +443,16 @@ class TestOutOfRangeSettings:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", ["epochs=0", "key_chunk=-1", "lr=0", "dropout_rate=1",
-                                      "weight_decay=-1e-5", "folds=1"])
-    def test_train_config_key(self, cohort_dir, tmp_path, cohort_never_read, line):
+                                      "weight_decay=-1e-5", "folds=1", "lr=inf",
+                                      "lr=1e-3 # caf\udce9"])
+    def test_train_config_key(self, cohort_dir, tmp_path, cohort_never_read, capsys, line):
         path = tmp_path / "run.cfg"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8", errors="surrogateescape")
         code = run_cli("train", "--manifest", str(cohort_dir / "manifest.csv"),
                        "--out", str(tmp_path / "o"), "--config", str(path))
         assert code == 2
+        if not line.isascii():  # one byte 0xe9 that is not UTF-8
+            assert f"{path}:1: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "route-stats"])
     @pytest.mark.parametrize("value", ["0", "-8", "many"])

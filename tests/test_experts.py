@@ -31,7 +31,7 @@ ALL_EXPERTS = (True, True, True, True)
 
 def make_layer(d=8, seed=0, n_b=2, enable_mask=ALL_EXPERTS, dropout_rate=0.25):
     return MoMELayer.create(
-        d, nc.rng_stream(seed), n_bottleneck=n_b, head_count=1, enable_mask=enable_mask,
+        d, nc.Init(nc.rng_stream(seed)), n_bottleneck=n_b, head_count=1, enable_mask=enable_mask,
         dropout_rate=dropout_rate,
     )
 
@@ -66,7 +66,7 @@ class TestGate:
     def test_matches_numpy_reference_bit_for_bit(self, mask):
         for seed in range(5):
             f1, f2 = random_bags(n1=5 + seed, n2=6, seed=100 + seed)
-            params = GateParams.create(8, nc.rng_stream(200 + seed))
+            params = GateParams.create(8, nc.Init(nc.rng_stream(200 + seed)))
             decision = gate(f1, f2, params, mask)
             logits, chosen, probability = reference_gate(f1, f2, params, mask)
             assert np.array_equal(decision.logits.data, logits)
@@ -76,7 +76,7 @@ class TestGate:
 
     def test_tie_breaks_to_lowest_enabled_slot_like_the_reference(self):
         f1, f2 = random_bags(seed=4)
-        params = GateParams.create(8, nc.rng_stream(5))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(5)))
         params.w.data[:, 2] = 0.0
         if gate(f1, f2, params, ALL_EXPERTS).logits.data[0, 1] < 0.0:
             params.w.data[:, 1] *= -1.0
@@ -91,14 +91,14 @@ class TestGate:
 
     def test_equal_logits_give_uniform_probability(self):
         f1, f2 = random_bags(seed=2)
-        params = GateParams.create(8, nc.rng_stream(3))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(3)))
         params.w.data[:] = 0.0
         decision = gate(f1, f2, params, enable_mask=(True, False, True, True))
         assert decision.probability.item() == 1.0 / 3.0
 
     def test_zero_weights_tie_breaks_to_transfusion(self):
         f1, f2 = random_bags(seed=2)
-        params = GateParams.create(8, nc.rng_stream(3))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(3)))
         for t in (params.w1, params.w2, params.w):
             t.data[:] = 0.0
         decision = gate(f1, f2, params, ALL_EXPERTS)
@@ -107,26 +107,26 @@ class TestGate:
 
     def test_forced_routing_ignores_logits(self):
         f1, f2 = random_bags(seed=6)
-        params = GateParams.create(8, nc.rng_stream(7))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(7)))
         decision = gate(f1, f2, params, enable_mask=(False, False, True, False))
         assert decision.expert == ExpertId.SNNFUSION
         assert decision.probability.item() == 1.0
 
     def test_all_disabled_rejected(self):
         f1, f2 = random_bags(seed=8)
-        params = GateParams.create(8, nc.rng_stream(9))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(9)))
         with pytest.raises(ConfigError):
             gate(f1, f2, params, enable_mask=(False, False, False, False))
 
     def test_constant_logit_shift_preserves_choice(self):
         f1, f2 = random_bags(seed=10)
-        params = GateParams.create(8, nc.rng_stream(11))
+        params = GateParams.create(8, nc.Init(nc.rng_stream(11)))
         base = gate(f1, f2, params, ALL_EXPERTS)
         shifted = np.where([True] * 4, base.logits.data[0] + 5.0, -np.inf)
         assert int(np.argmax(shifted)) == base.expert
 
     def test_empty_bag_rejected(self):
-        params = GateParams.create(4, nc.rng_stream(12))
+        params = GateParams.create(4, nc.Init(nc.rng_stream(12)))
         with pytest.raises(DataError):
             gate(nc.Tensor(np.zeros((0, 4))), nc.Tensor(np.ones((2, 4))), params, ALL_EXPERTS)
 
@@ -134,12 +134,12 @@ class TestGate:
 class TestTransfusion:
     def test_output_shape(self):
         f1, f2 = random_bags(d=8, n1=2, n2=3, seed=13)
-        out = transfusion(f1, f2, AttentionParams.create(8, nc.rng_stream(14)))
+        out = transfusion(f1, f2, AttentionParams.create(8, nc.Init(nc.rng_stream(14))))
         assert out.shape == (2, 8)
 
     def test_zero_query_averages_all_tokens(self):
         f1, f2 = random_bags(d=6, n1=3, n2=4, seed=15)
-        params = AttentionParams.create(6, nc.rng_stream(16))
+        params = AttentionParams.create(6, nc.Init(nc.rng_stream(16)))
         params.query.data[:] = 0.0
         out = transfusion(f1, f2, params)
         stacked = np.concatenate([f1.data, f2.data], axis=0)
@@ -151,7 +151,7 @@ class TestTransfusion:
         roundoff; transfusion itself runs only the 5 f1 query rows."""
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=17)
         f1.requires_grad = f2.requires_grad = True
-        params = AttentionParams.create(8, nc.rng_stream(18))
+        params = AttentionParams.create(8, nc.Init(nc.rng_stream(18)))
         named = [("f1", f1), ("f2", f2)] + params.parameters("attention")
         weights = nc.Tensor(nc.rng_stream(19).standard_normal((5, 8)))
 
@@ -263,7 +263,7 @@ def composed_snnfusion(f1, f2, params, rng):
 
 class TestSnnFusion:
     def test_zero_reference_contributes_nothing(self):
-        params = SnnParams.create(6, nc.rng_stream(25), dropout_rate=0.25)
+        params = SnnParams.create(6, nc.Init(nc.rng_stream(25)), dropout_rate=0.25)
         rng = nc.rng_stream(26)
         f1 = nc.Tensor(rng.standard_normal((4, 6)))
         f2 = nc.Tensor(np.zeros((3, 6)))
@@ -272,7 +272,7 @@ class TestSnnFusion:
         assert np.array_equal(out.data, own_only)
 
     def test_reference_is_a_single_broadcast_row(self):
-        params = SnnParams.create(8, nc.rng_stream(27), dropout_rate=0.25)
+        params = SnnParams.create(8, nc.Init(nc.rng_stream(27)), dropout_rate=0.25)
         f1, f2 = random_bags(d=8, n1=4, n2=6, seed=28)
         out = snnfusion(f1, f2, params, rng=None)
         assert out.shape == (4, 8)
@@ -281,7 +281,7 @@ class TestSnnFusion:
         assert np.max(np.abs(diff - diff[0])) <= 1e-14
 
     def test_eval_matches_dropout_free_reimplementation(self):
-        params = SnnParams.create(8, nc.rng_stream(29), dropout_rate=0.25)
+        params = SnnParams.create(8, nc.Init(nc.rng_stream(29)), dropout_rate=0.25)
         f1, f2 = random_bags(d=8, n1=5, n2=3, seed=30)
         out = snnfusion(f1, f2, params, rng=None)
         expected = dropout_free_block(f1, params.w1, params.b1, params.gain1) + \
@@ -297,7 +297,7 @@ class TestSnnFusion:
         """One ``snnfusion`` node over the bags and the six parameters; its
         output and all eight gradients equal those of the composed graph."""
         rng = nc.rng_stream(100 * n1 + 10 * n2 + d)
-        params = SnnParams.create(d, rng, dropout_rate=rate)
+        params = SnnParams.create(d, nc.Init(rng), dropout_rate=rate)
         for t in (params.b1, params.b2, params.gain1, params.gain2):
             t.data[:] = rng.standard_normal(t.shape)
         f1 = nc.Tensor(rng.standard_normal((n1, d)), requires_grad=True)

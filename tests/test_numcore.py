@@ -117,7 +117,7 @@ def _bias_only_snn(b1, rows=1, rate=0.0):
     exactly zero outside training; a bias-only block isolates the ELU and
     the alpha dropout of the fused op."""
     d = len(b1)
-    params = SnnParams.create(d, nc.rng_stream(0), dropout_rate=rate)
+    params = SnnParams.create(d, nc.Init(nc.rng_stream(0)), dropout_rate=rate)
     params.w1.data[:] = 0.0
     params.w2.data[:] = 0.0
     params.b1.data[:] = b1
@@ -259,7 +259,7 @@ class TestBackward:
             rng = nc.rng_stream(77)
             x = nc.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
             w = nc.Tensor(rng.standard_normal((6, 6)), requires_grad=True)
-            params = SnnParams.create(6, nc.rng_stream(78), dropout_rate=0.3)
+            params = SnnParams.create(6, nc.Init(nc.rng_stream(78)), dropout_rate=0.3)
             out = snnfusion(nc.matmul(x, w), x, params, rng=nc.rng_stream(5))
             loss = nc.reduce_sum(out)
             loss.backward()

@@ -1,4 +1,4 @@
-"""Property tests of the cohort readers against mutated files.
+"""Property tests of the cohort and checkpoint readers against mutated files.
 
 Each case starts from a file the package's own writer made, applies a few
 byte flips, cuts and insertions, and reads the result: the reader either
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mome.bpe import ModelConfig, MoMEModel, load_checkpoint, save_checkpoint
 from mome.data import (
     N_GROUPS,
     GenomicGroups,
@@ -54,7 +55,8 @@ def mutate(blob: bytes, mutations) -> bytes:
 
 @pytest.fixture(scope="module")
 def cohort(tmp_path_factory):
-    """A two-sample cohort the writers made, and the bytes of each file."""
+    """A two-sample cohort and a small model's checkpoint the writers made,
+    and the bytes of each file."""
     out = tmp_path_factory.mktemp("readers")
     rng = np.random.default_rng(5)
     rows = []
@@ -65,7 +67,11 @@ def cohort(tmp_path_factory):
                                                for g in range(N_GROUPS))))
         rows.append(ManifestRow(f"s{i}", f"s{i}.mmef", f"s{i}.mmeg", 30.5 * (i + 1), i == 1, i))
     write_manifest(out / "manifest.csv", rows)
-    blobs = {name: (out / name).read_bytes() for name in ("s0.mmef", "s0.mmeg", "manifest.csv")}
+    save_checkpoint(MoMEModel(ModelConfig(d=4, rounds=1, n_b=1, head_count=2, time_bins=2,
+                                          d_in=3, group_sizes=(1, 2, 1, 2, 1, 2), seed=7)),
+                    out / "model.ckpt")
+    blobs = {name: (out / name).read_bytes()
+             for name in ("s0.mmef", "s0.mmeg", "manifest.csv", "model.ckpt")}
     return out, blobs
 
 
@@ -106,3 +112,11 @@ class TestMutatedFiles:
         rows = read_mutated(cohort, "manifest.csv", read_manifest, mutations)
         if rows is not None:
             assert all(isinstance(row, ManifestRow) for row in rows)
+
+    @READER_SETTINGS
+    @given(MUTATIONS)
+    def test_checkpoint_loads_as_a_finite_model_or_raises_a_mome_error(self, cohort, mutations):
+        model = read_mutated(cohort, "model.ckpt", load_checkpoint, mutations)
+        if model is not None:
+            assert isinstance(model, MoMEModel)
+            assert all(np.all(np.isfinite(t.data)) for _, t in model.parameters())

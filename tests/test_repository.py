@@ -171,6 +171,21 @@ def test_parameter_sets_check_nothing(module, holders):
     assert found == []
 
 
+@pytest.mark.parametrize("module", ["bpe.py", "experts.py", "attention.py"])
+def test_model_modules_make_trainable_tensors_through_init_alone(module):
+    """``numcore.Init`` makes every trainable tensor, so a checkpoint can fill
+    the model from its records: no model module passes ``requires_grad=True``
+    or calls ``fan_in_uniform``."""
+    found = []
+    for node in ast.walk(_module_tree(module)):
+        if (isinstance(node, ast.keyword) and node.arg == "requires_grad"
+                and isinstance(node.value, ast.Constant) and node.value.value is True):
+            found.append(f"requires_grad=True at line {node.lineno}")
+        elif "fan_in_uniform" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"fan_in_uniform at line {node.lineno}")
+    assert found == []
+
+
 def test_data_imports_no_model_module():
     """``data`` owns how file bytes become arrays, the genomic type included,
     below the model stack: of the package it imports ``errors`` and
