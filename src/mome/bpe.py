@@ -35,7 +35,9 @@ group names and ``GenomicGroups`` are :mod:`mome.data`'s.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -330,6 +332,9 @@ def _unpack_config(buf: bytes) -> ModelConfig:
 
 
 def save_checkpoint(model: MoMEModel, path) -> None:
+    """Write the model's checkpoint to ``path`` atomically: the bytes go to
+    a temporary file beside it, which then replaces ``path``. A write that
+    fails removes the temporary file and leaves ``path`` as it was."""
     named = model.parameters()
     chunks = [CHECKPOINT_MAGIC, _U32.pack(CHECKPOINT_VERSION),
               _pack_config(model.config), _U32.pack(len(named))]
@@ -338,8 +343,16 @@ def save_checkpoint(model: MoMEModel, path) -> None:
         chunks += [struct.pack("<H", len(encoded)), encoded,
                    struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape),
                    tensor.data.astype("<f8").tobytes()]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    directory, base = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{base}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
 
 
 class _RecordReader(nc.Init):

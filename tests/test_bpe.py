@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import inspect
+import os
+import resource
+import signal
 import struct
 import tracemalloc
 
@@ -554,6 +557,30 @@ class TestCheckpointRoundtrip:
         with pytest.raises(FormatError, match=f"{message} flag {value}") as err:
             load_checkpoint(path)
         assert err.value.offset == offset
+
+    def test_write_cut_off_midway_leaves_no_file_and_the_old_one_intact(self, tmp_path):
+        """A write the file-size limit stops after 4 KiB of a 37 KB
+        checkpoint removes its temporary file: the final name is absent, or
+        still holds the checkpoint it held before."""
+        model = MoMEModel(small_config(seed=33))
+        fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+        fresh.mkdir()
+        kept.mkdir()
+        save_checkpoint(MoMEModel(small_config(seed=34)), kept / "model.ckpt")
+        before = (kept / "model.ckpt").read_bytes()
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+        try:
+            for directory in (fresh, kept):
+                with pytest.raises(OSError):
+                    save_checkpoint(model, directory / "model.ckpt")
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert os.listdir(fresh) == []
+        assert os.listdir(kept) == ["model.ckpt"]
+        assert (kept / "model.ckpt").read_bytes() == before
 
     def test_truncation_rejected(self, tmp_path):
         model = MoMEModel(small_config(seed=23))

@@ -203,3 +203,24 @@ def test_data_imports_no_model_module():
             continue
         imported.update(name.removeprefix("mome.") for name in names)
     assert sorted((imported & package) - {"errors", "numcore"}) == []
+
+
+def test_one_module_owns_threads():
+    """``attention`` owns the process's compute threads (the BLAS pin and
+    the query-tile pool): no other module of the package imports
+    ``threading``, ``concurrent.futures`` or ``ctypes``."""
+    owned = {"threading", "concurrent", "ctypes"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "mome", "*.py"))):
+        module = os.path.basename(path)
+        if module == "attention.py":
+            continue
+        for node in ast.walk(_module_tree(module)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names if name.split(".")[0] in owned]
+    assert found == []

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -313,3 +316,32 @@ class TestEvaluateNumericError:
         assert str(in_evaluation.value) == str(in_training.value) == (
             f"non-finite value at sample '{sample_id}': "
             "non-finite result produced by 'nll_loss'")
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    """Training pins BLAS to one thread, so a run under
+    ``OPENBLAS_NUM_THREADS`` 1 and 2 writes the same checkpoint bytes and
+    the same ``metrics.csv`` (wall-clock column aside). Two threads change
+    the rounding of the larger products at the default width on 128 x 64
+    bags."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cohort = synthesize_cohort(24, 128, 64, "cross", 0.3, seed=3, out_dir=tmp_path / "cohort")
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "mome", "train", "--manifest", str(cohort), "--out", str(out),
+             "--epochs", "2", "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    one, two = runs["1"], runs["2"]
+    assert sorted(one) == sorted(two) == ["fold0.ckpt", "fold1.ckpt", "fold2.ckpt", "fold3.ckpt",
+                                          "fold4.ckpt", "metrics.csv"]
+
+    def without_wall(metrics):
+        return [line.rsplit(",", 1)[0] for line in metrics.decode().splitlines()]
+
+    assert without_wall(one.pop("metrics.csv")) == without_wall(two.pop("metrics.csv"))
+    assert [name for name in one if one[name] != two[name]] == []
