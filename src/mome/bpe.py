@@ -378,7 +378,7 @@ class _RecordReader(nc.Init):
         check_finite(values, at, what)
         self.records.append((name, start))
         self.offset = at + values.nbytes
-        return super().make(shape, lambda _: values.reshape(shape))
+        return self.adopt(values.reshape(shape))
 
 
 def load_checkpoint(path) -> MoMEModel:

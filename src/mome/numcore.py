@@ -7,6 +7,15 @@ valid topological order by construction; ``Tensor.backward`` walks the
 reachable subgraph in reverse creation order and accumulates gradients
 into every ``requires_grad`` leaf.
 
+Backward releases the graph as it walks it, as PyTorch does without
+``retain_graph``: each node drops its closure and its parent links before
+its closure runs, and its gradient after, so an array of the graph is
+freed as soon as its last consumer has run, unless the caller holds it.
+Interior gradients are not kept; leaves keep theirs and the root its
+gradient of 1. A walked node keeps a closure that raises ``UsageError``,
+so a second ``backward`` through a released graph fails instead of
+leaving the leaf gradients silently unchanged.
+
 The module holds only the primitives the model runs, and each of them is
 checked against central finite differences by :mod:`mome.gradcheck`.
 Fused ops with a closed-form backward (the gate, the SNN expert, the
@@ -120,12 +129,23 @@ class Tensor:
         # Creation order is a topological order of the recorded graph.
         nodes.sort(key=lambda t: t._id)
         self.grad = np.ones_like(self.data)
-        for node in reversed(nodes):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+        while nodes:
+            node = nodes.pop()
+            backward_fn = node._backward_fn
+            if backward_fn is None:  # a leaf keeps its gradient
+                continue
+            node._backward_fn, node._parents = _released, ()
+            backward_fn(node.grad)
+            if node is not self:
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+
+
+def _released(g) -> None:
+    # The closure a walked node keeps: its graph is gone.
+    raise UsageError("graph already released by backward()")
 
 
 def _as_tensor(value) -> Tensor:
@@ -141,12 +161,20 @@ def graph_op(
     """Wrap a computed array as a graph node (hook for fused kernels)."""
     _ensure_finite(data, op)
     requires = _grad_enabled and any(p.requires_grad for p in parents)
+    if not requires:
+        return _node(data, False, (), None, op)
+    return _node(data, True, tuple(parents), backward, op)
+
+
+def _node(data: np.ndarray, requires_grad: bool, parents: tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], None] | None, op: str) -> Tensor:
+    # A tensor around ``data``, which the caller has checked finite.
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = requires
-    out._parents = tuple(parents) if requires else ()
-    out._backward_fn = backward if requires else None
+    out.requires_grad = requires_grad
+    out._parents = parents
+    out._backward_fn = backward
     out._op = op
     out._id = next(_node_ids)
     return out
@@ -263,6 +291,12 @@ class Init:
 
     def make(self, shape: tuple[int, ...], draw: Callable) -> Tensor:
         return Tensor(draw(self.rng), requires_grad=True)
+
+    @staticmethod
+    def adopt(values: np.ndarray) -> Tensor:
+        """A trainable tensor of a float64 copy of ``values``, which the
+        caller has already checked finite: the constructor's scan is skipped."""
+        return _node(np.array(values, dtype=np.float64), True, (), None, "leaf")
 
     def fan_in(self, shape: tuple[int, ...]) -> Tensor:  # uniform within ±1/sqrt(shape[0])
         bound = 1.0 / np.sqrt(shape[0])

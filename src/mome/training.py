@@ -10,7 +10,7 @@ All randomness (shuffling, dropout, per-fold init) derives from the run
 seed through a counter-mix, so a rerun with the same seed reproduces the
 metrics stream and the checkpoint bytes exactly (wall-time fields
 aside), at any CPU count: BLAS runs on one thread (see
-:func:`mome.attention.own_threads`).
+:func:`mome.attention.own_process`).
 
 Only this module knows which sample runs: ``evaluate`` stamps the gate
 decisions the model hands back into routing records, and a sample's
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import numcore as nc
-from .attention import own_threads
+from .attention import own_process
 from .bpe import ModelConfig, ModelSettings, MoMEModel, save_checkpoint, setting
 from .data import (
     ManifestRow,
@@ -175,7 +175,7 @@ def evaluate(
     non-finite value raises ``TrainingAbort`` naming the op and the sample
     that produced it.
     """
-    own_threads()
+    own_process()
     losses, risks = [], []
     with nc.no_grad(), _quiet_floating_point():
         for i in indices:
@@ -248,7 +248,7 @@ def train_fold(
     """Train on the rows outside ``fold`` and checkpoint the best epoch on
     ``fold``; ``fold_split`` rejects a bad split before a model is built."""
     train_idx, val_idx = fold_split(cohort, fold)
-    own_threads()
+    own_process()
 
     model = MoMEModel(model_config_for(run, cohort, fold))
     optimizer = Adam([t for _, t in model.parameters()], lr=run.lr, weight_decay=run.weight_decay)

@@ -100,7 +100,7 @@ def pool_size(monkeypatch):
     def resize(size):
         monkeypatch.setattr(attention, "_POOL_SIZE", size)
         monkeypatch.setattr(attention, "_pool", None)
-        made.append(attention.own_threads())
+        made.append(attention.own_process())
 
     yield resize
     for pool in made:

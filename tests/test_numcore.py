@@ -249,6 +249,19 @@ class TestBackward:
         assert np.array_equal(a.grad, [[12.0, 14.0]])
         assert np.array_equal(b.grad, [[7.0, 8.0]])
 
+    def test_backward_releases_the_graph_and_a_second_walk_raises(self):
+        x = nc.Tensor([[1.0, 2.0]], requires_grad=True)
+        h = nc.mul(x, x)
+        loss = nc.reduce_sum(h)
+        loss.backward()
+        first = x.grad.copy()
+        assert h.grad is None and h._parents == () and loss.grad.item() == 1.0
+        with pytest.raises(UsageError, match=r"graph already released by backward\(\)"):
+            loss.backward()
+        with pytest.raises(UsageError, match=r"graph already released by backward\(\)"):
+            nc.reduce_sum(nc.mul(h, 2.0)).backward()
+        assert np.array_equal(x.grad, first)
+
     def test_non_finite_forward_raises(self):
         x = nc.Tensor([[1e200]])
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="'mul'"):

@@ -206,9 +206,10 @@ def test_data_imports_no_model_module():
 
 
 def test_one_module_owns_threads():
-    """``attention`` owns the process's compute threads (the BLAS pin and
-    the query-tile pool): no other module of the package imports
-    ``threading``, ``concurrent.futures`` or ``ctypes``."""
+    """``attention.own_process`` owns the process's compute resources (the
+    BLAS pin, the allocator policy and the query-tile pool): no other
+    module of the package imports ``threading``, ``concurrent.futures`` or
+    ``ctypes``."""
     owned = {"threading", "concurrent", "ctypes"}
     found = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "mome", "*.py"))):
